@@ -1,24 +1,26 @@
-//! Overhead of the staged `Synthesis` pipeline over the classic one-shot
-//! `run_flow` entry point, on three Table 1 circuits. The pipeline is a
-//! reorganization of the same flow — staged artifacts are moved, not
-//! recomputed — so the two columns must coincide up to noise.
-
-#![allow(deprecated)] // run_flow is the deprecated baseline under test
+//! Overhead of stepping through the staged `Synthesis` pipeline over the
+//! one-shot `Synthesis::run`, on three Table 1 circuits. Both drive the
+//! same flow — staged artifacts are moved, not recomputed — so the two
+//! columns must coincide up to noise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simap_bench::benchmark_sg;
-use simap_bench::reexports::{run_flow, Config, FlowConfig, Synthesis};
+use simap_bench::reexports::{Config, Synthesis};
 
 const CIRCUITS: [&str; 3] = ["hazard", "dff", "chu150"];
 
 fn bench_one_shot(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flow/one_shot_run_flow");
+    let mut group = c.benchmark_group("flow/one_shot_run");
     group.sample_size(10);
+    let config = Config::default();
     for name in CIRCUITS {
         let sg = benchmark_sg(name);
         group.bench_function(name, |b| {
             b.iter(|| {
-                run_flow(std::hint::black_box(&sg), &FlowConfig::with_limit(2)).expect("flow")
+                Synthesis::from_state_graph(std::hint::black_box(&sg).clone())
+                    .config(&config)
+                    .run()
+                    .expect("flow")
             })
         });
     }

@@ -155,11 +155,9 @@ pub fn summarize_flow(report: &FlowReport) -> String {
 
 /// Re-exports used by the benches so they only depend on this crate.
 pub mod reexports {
-    #[allow(deprecated)] // the run_flow shim stays benchmarkable against the pipeline
-    pub use simap_core::run_flow;
     pub use simap_core::{
         build_circuit, decompose, non_si_cost, si_cost, synthesize_mc, AckMode, Batch, Config,
-        DecomposeConfig, Engine, FlowConfig, Synthesis,
+        DecomposeConfig, Engine, Synthesis,
     };
     pub use simap_sg::check_all;
     pub use simap_stg::{

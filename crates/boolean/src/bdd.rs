@@ -1,13 +1,12 @@
 //! Reduced Ordered Binary Decision Diagrams.
 //!
-//! A compact ROBDD package with complement edges, a unique table, an ITE
-//! computed cache, mark-and-sweep garbage collection and dynamic variable
-//! reordering by sifting. The SOP engine ([`crate::minimize`]) is
+//! A compact ROBDD package with complement edges, a unique table and an
+//! ITE computed cache. The SOP engine ([`crate::minimize`]) is
 //! heuristic; BDDs give the *exact* side: tautology, equivalence,
 //! complementation and satisfy-count, used to cross-check covers and to
 //! validate the minimizer in tests. Variables use the same indices as
-//! [`crate::Cube`] (default ordering `x0 < x1 < …`; [`Bdd::sift`] and
-//! [`Bdd::reorder`] permute the order without changing any function).
+//! [`crate::Cube`] and are ordered by index (`x0 < x1 < …`, `x0` on
+//! top).
 //!
 //! On top of the classic connectives the manager provides the symbolic
 //! model-checking primitives — set-wise quantification
@@ -28,19 +27,6 @@
 //! manager, [`BddRef::TRUE`]/[`BddRef::FALSE`] are still the terminal
 //! constants — but shared subgraphs now serve both polarities, roughly
 //! halving node counts on negation-heavy workloads.
-//!
-//! # Memory management
-//!
-//! [`Bdd::gc`] mark-and-sweep collects every node unreachable from the
-//! given roots and the [`Bdd::protect`]ed registry, recycling slots
-//! without moving live nodes (live [`BddRef`]s stay valid). A node-count
-//! watermark ([`Bdd::set_gc_watermark`]) triggers the same collection
-//! automatically at operation entry; because the collector cannot see
-//! refs held in caller locals, automatic collection is **opt-in** and
-//! only safe when every ref held across operations is protected.
-//! [`Bdd::set_sift_watermark`] likewise triggers a sifting pass when the
-//! store grows past a bound. [`Bdd::stats`] exposes peak node count, GC
-//! and reordering counters.
 
 use crate::cover::Cover;
 use crate::cube::{Cube, Literal};
@@ -165,25 +151,6 @@ impl BddRef {
     }
 }
 
-/// Counters exposed by [`Bdd::stats`]: store occupancy, GC activity and
-/// reordering activity. All counters are cumulative for the lifetime of
-/// the manager.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BddStats {
-    /// Live (reachable, non-terminal) nodes currently in the store.
-    pub live_nodes: usize,
-    /// High-water mark of live nodes over the manager's lifetime.
-    pub peak_nodes: usize,
-    /// Mark-and-sweep passes run (explicit, automatic, and pre-sift).
-    pub gc_runs: usize,
-    /// Total nodes reclaimed across all GC passes.
-    pub collected_nodes: usize,
-    /// Reordering passes ([`Bdd::sift`] + [`Bdd::reorder`]) completed.
-    pub reorders: usize,
-    /// Adjacent-level swaps performed by reordering passes.
-    pub level_swaps: usize,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Node {
     var: u32,
@@ -191,27 +158,18 @@ struct Node {
     hi: BddRef,
 }
 
-/// Sentinel `var` marking the shared terminal slot and recycled slots.
-const FREE_VAR: u32 = u32::MAX;
+/// The `var` of the shared terminal slot: below every variable.
+const TERMINAL_VAR: u32 = u32::MAX;
 
-const FREE_NODE: Node = Node { var: FREE_VAR, lo: BddRef::TRUE, hi: BddRef::TRUE };
+const TERMINAL: Node = Node { var: TERMINAL_VAR, lo: BddRef::TRUE, hi: BddRef::TRUE };
 
-/// A BDD manager: owns the node store, the unique table, the operation
-/// cache, the variable order and the GC machinery.
+/// A BDD manager: owns the node store, the unique table and the
+/// operation cache.
 #[derive(Debug)]
 pub struct Bdd {
     nodes: Vec<Node>,
-    free: Vec<u32>,
     unique: HashMap<Node, u32>,
     ite_cache: HashMap<(BddRef, BddRef, BddRef), BddRef>,
-    /// `var2level[v]` = level of variable `v`, `FREE_VAR` if not created.
-    var2level: Vec<u32>,
-    /// `level2var[l]` = variable at level `l` (top = 0).
-    level2var: Vec<u32>,
-    protected: Vec<BddRef>,
-    gc_watermark: Option<usize>,
-    sift_watermark: Option<usize>,
-    stats: BddStats,
 }
 
 impl Default for Bdd {
@@ -225,85 +183,18 @@ impl Bdd {
     pub fn new() -> Self {
         // Slot 0 is the shared terminal; TRUE and FALSE are its two
         // polarities.
-        Bdd {
-            nodes: vec![FREE_NODE],
-            free: Vec::new(),
-            unique: HashMap::new(),
-            ite_cache: HashMap::new(),
-            var2level: Vec::new(),
-            level2var: Vec::new(),
-            protected: Vec::new(),
-            gc_watermark: None,
-            sift_watermark: None,
-            stats: BddStats::default(),
-        }
+        Bdd { nodes: vec![TERMINAL], unique: HashMap::new(), ite_cache: HashMap::new() }
     }
 
-    /// Number of live (non-terminal) nodes.
+    /// Number of (non-terminal) nodes in the store.
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - 1 - self.free.len()
+        self.nodes.len() - 1
     }
 
-    fn live_nodes(&self) -> usize {
-        self.nodes.len() - 1 - self.free.len()
-    }
-
-    /// Store, GC and reordering counters. `live_nodes` is current; the
-    /// rest are cumulative.
-    pub fn stats(&self) -> BddStats {
-        BddStats { live_nodes: self.live_nodes(), ..self.stats }
-    }
-
-    /// The current variable order, top level first. Contains every
-    /// variable the manager has seen.
-    pub fn order(&self) -> Vec<usize> {
-        self.level2var.iter().map(|&v| v as usize).collect()
-    }
-
-    // ---- variable order bookkeeping ------------------------------------
-
-    /// Assigns a level to `var` if it has none yet. While the order has
-    /// never been permuted, new variables slot in by index so the default
-    /// order stays `x0 < x1 < …`; after a reorder they append at the
-    /// bottom.
-    fn ensure_var(&mut self, var: u32) {
-        let v = var as usize;
-        if v >= self.var2level.len() {
-            self.var2level.resize(v + 1, FREE_VAR);
-        }
-        if self.var2level[v] != FREE_VAR {
-            return;
-        }
-        let sorted = self.level2var.windows(2).all(|w| w[0] < w[1]);
-        let pos = if sorted {
-            self.level2var.partition_point(|&u| u < var)
-        } else {
-            self.level2var.len()
-        };
-        self.level2var.insert(pos, var);
-        for l in pos..self.level2var.len() {
-            self.var2level[self.level2var[l] as usize] = l as u32;
-        }
-    }
-
-    fn level_of(&self, var: u32) -> u32 {
-        self.var2level[var as usize]
-    }
-
-    fn level_of_ref(&self, r: BddRef) -> u32 {
-        if r.is_terminal() {
-            u32::MAX
-        } else {
-            self.level_of(self.nodes[r.index()].var)
-        }
-    }
-
+    /// The variable `r` branches on; [`TERMINAL_VAR`] for the terminals,
+    /// which sit below every variable.
     fn var_of(&self, r: BddRef) -> u32 {
-        if r.is_terminal() {
-            u32::MAX
-        } else {
-            self.nodes[r.index()].var
-        }
+        self.nodes[r.index()].var
     }
 
     // ---- node construction ---------------------------------------------
@@ -320,28 +211,15 @@ impl Bdd {
 
     fn mk_regular(&mut self, var: u32, lo: BddRef, hi: BddRef) -> BddRef {
         debug_assert!(!hi.is_complemented());
-        debug_assert!(self.level_of_ref(lo) > self.level_of(var));
-        debug_assert!(self.level_of_ref(hi) > self.level_of(var));
+        debug_assert!(self.var_of(lo) > var);
+        debug_assert!(self.var_of(hi) > var);
         let node = Node { var, lo, hi };
         if let Some(&idx) = self.unique.get(&node) {
             return BddRef::from_index(idx, false);
         }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                let i = self.nodes.len() as u32;
-                self.nodes.push(node);
-                i
-            }
-        };
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(node);
         self.unique.insert(node, idx);
-        let live = self.live_nodes();
-        if live > self.stats.peak_nodes {
-            self.stats.peak_nodes = live;
-        }
         BddRef::from_index(idx, false)
     }
 
@@ -362,239 +240,6 @@ impl Bdd {
         }
     }
 
-    // ---- garbage collection and reordering ------------------------------
-
-    /// Adds `r` to the protected-roots registry: GC and automatic
-    /// housekeeping treat it (and everything it reaches) as live. One
-    /// [`Bdd::unprotect`] cancels one `protect`.
-    pub fn protect(&mut self, r: BddRef) {
-        self.protected.push(r);
-    }
-
-    /// Removes one occurrence of `r` from the protected-roots registry.
-    pub fn unprotect(&mut self, r: BddRef) {
-        if let Some(p) = self.protected.iter().rposition(|&x| x == r) {
-            self.protected.swap_remove(p);
-        }
-    }
-
-    /// Mark-and-sweep: frees every node unreachable from `roots` and the
-    /// [`Bdd::protect`]ed registry, recycling the slots without moving
-    /// live nodes (live refs stay valid). Returns the number of nodes
-    /// collected. The operation cache is dropped when anything is freed.
-    pub fn gc(&mut self, roots: &[BddRef]) -> usize {
-        let mut live = vec![false; self.nodes.len()];
-        live[0] = true;
-        let mut stack: Vec<usize> = Vec::with_capacity(roots.len() + self.protected.len());
-        stack.extend(roots.iter().map(|r| r.index()));
-        stack.extend(self.protected.iter().map(|r| r.index()));
-        while let Some(i) = stack.pop() {
-            if live[i] {
-                continue;
-            }
-            live[i] = true;
-            let n = self.nodes[i];
-            stack.push(n.lo.index());
-            stack.push(n.hi.index());
-        }
-        let mut collected = 0;
-        for (i, &is_live) in live.iter().enumerate().skip(1) {
-            if is_live || self.nodes[i].var == FREE_VAR {
-                continue;
-            }
-            self.unique.remove(&self.nodes[i]);
-            self.nodes[i] = FREE_NODE;
-            self.free.push(i as u32);
-            collected += 1;
-        }
-        if collected > 0 {
-            self.ite_cache.clear();
-        }
-        self.stats.gc_runs += 1;
-        self.stats.collected_nodes += collected;
-        collected
-    }
-
-    /// Number of nodes reachable from `roots` + the protected registry,
-    /// without sweeping.
-    fn reachable_count(&self, roots: &[BddRef]) -> usize {
-        let mut live = vec![false; self.nodes.len()];
-        live[0] = true;
-        let mut stack: Vec<usize> = Vec::with_capacity(roots.len() + self.protected.len());
-        stack.extend(roots.iter().map(|r| r.index()));
-        stack.extend(self.protected.iter().map(|r| r.index()));
-        let mut count = 0;
-        while let Some(i) = stack.pop() {
-            if live[i] {
-                continue;
-            }
-            live[i] = true;
-            count += 1;
-            let n = self.nodes[i];
-            stack.push(n.lo.index());
-            stack.push(n.hi.index());
-        }
-        count
-    }
-
-    /// Enables (Some) or disables (None) automatic mark-and-sweep: when
-    /// the live node count exceeds the watermark at operation entry, the
-    /// manager collects against the protected registry plus the
-    /// operation's own arguments. Opt-in: only safe when every ref held
-    /// across operations is [`Bdd::protect`]ed.
-    pub fn set_gc_watermark(&mut self, limit: Option<usize>) {
-        self.gc_watermark = limit;
-    }
-
-    /// Enables (Some) or disables (None) an automatic sifting pass when
-    /// the live node count exceeds the watermark at operation entry.
-    /// Sifting preserves every ref, but the pass GCs first, so the same
-    /// protection contract as [`Bdd::set_gc_watermark`] applies.
-    pub fn set_sift_watermark(&mut self, limit: Option<usize>) {
-        self.sift_watermark = limit;
-    }
-
-    /// Watermark check at public operation entry. `roots` are the
-    /// operation's arguments; anything else the caller holds must be
-    /// protected. If a pass fails to get below the watermark the
-    /// watermark doubles, so a store that is legitimately large does not
-    /// thrash.
-    fn housekeep(&mut self, roots: &[BddRef]) {
-        if let Some(w) = self.gc_watermark {
-            if self.live_nodes() > w {
-                self.gc(roots);
-                if self.live_nodes() > w {
-                    self.gc_watermark = Some(self.live_nodes() * 2);
-                }
-            }
-        }
-        if let Some(w) = self.sift_watermark {
-            if self.live_nodes() > w {
-                self.sift(roots);
-                if self.live_nodes() > w {
-                    self.sift_watermark = Some(self.live_nodes() * 2);
-                }
-            }
-        }
-    }
-
-    /// Swaps the variables at `level` and `level + 1` in place. Every
-    /// existing ref keeps denoting the same function: only nodes at
-    /// `level` with a child at `level + 1` are rewritten (in their own
-    /// slots), per the classic adjacent-swap construction.
-    fn swap_levels(&mut self, level: usize) {
-        let u = self.level2var[level];
-        let v = self.level2var[level + 1];
-        let mut worklist = Vec::new();
-        for idx in 1..self.nodes.len() {
-            let n = self.nodes[idx];
-            if n.var != u {
-                continue;
-            }
-            if self.var_of(n.lo) == v || self.var_of(n.hi) == v {
-                worklist.push(idx);
-            }
-        }
-        // The maps swap first so mk sees the post-swap order.
-        self.level2var.swap(level, level + 1);
-        self.var2level[u as usize] = (level + 1) as u32;
-        self.var2level[v as usize] = level as u32;
-        for idx in worklist {
-            let n = self.nodes[idx];
-            self.unique.remove(&n);
-            let (f00, f01) = self.cofactors(n.lo, v);
-            let (f10, f11) = self.cofactors(n.hi, v);
-            let g0 = self.mk(u, f00, f10);
-            let g1 = self.mk(u, f01, f11);
-            // hi cofactors of a regular hi edge are regular, so g1 is too
-            // and the slot's function is preserved verbatim.
-            debug_assert!(!g1.is_complemented());
-            let newn = Node { var: v, lo: g0, hi: g1 };
-            self.nodes[idx] = newn;
-            let prev = self.unique.insert(newn, idx as u32);
-            debug_assert!(prev.is_none(), "level swap produced a duplicate node");
-        }
-        self.stats.level_swaps += 1;
-    }
-
-    /// Permutes the variable order to place the listed variables at the
-    /// top, in the given sequence; unlisted variables keep their relative
-    /// order below. No function changes: refs stay valid.
-    ///
-    /// # Panics
-    /// Panics if `order` repeats a variable or exceeds `MAX_BDD_VARS`.
-    pub fn reorder(&mut self, order: &[usize]) {
-        let mut seen = std::collections::HashSet::new();
-        for &v in order {
-            assert!(v < MAX_BDD_VARS, "variable index {v} out of range");
-            assert!(seen.insert(v), "reorder lists variable {v} twice");
-            self.ensure_var(v as u32);
-        }
-        let mut target: Vec<u32> = order.iter().map(|&v| v as u32).collect();
-        target.extend(self.level2var.iter().copied().filter(|v| !seen.contains(&(*v as usize))));
-        for (i, &v) in target.iter().enumerate() {
-            let mut l = self.var2level[v as usize] as usize;
-            debug_assert!(l >= i);
-            while l > i {
-                self.swap_levels(l - 1);
-                l -= 1;
-            }
-        }
-        self.stats.reorders += 1;
-    }
-
-    /// Dynamic reordering by sifting: GCs against `roots` + the
-    /// protected registry, then moves each variable (densest first)
-    /// through every level and leaves it where the live node count is
-    /// smallest. Refs stay valid throughout.
-    pub fn sift(&mut self, roots: &[BddRef]) {
-        self.gc(roots);
-        let nlevels = self.level2var.len();
-        if nlevels < 2 {
-            self.stats.reorders += 1;
-            return;
-        }
-        let mut counts = vec![0usize; self.var2level.len()];
-        for idx in 1..self.nodes.len() {
-            let n = self.nodes[idx];
-            if n.var != FREE_VAR {
-                counts[n.var as usize] += 1;
-            }
-        }
-        let mut vars: Vec<u32> =
-            (0..counts.len() as u32).filter(|&v| counts[v as usize] > 0).collect();
-        vars.sort_by_key(|&v| (std::cmp::Reverse(counts[v as usize]), v));
-        for v in vars {
-            let mut cur = self.var2level[v as usize] as usize;
-            let mut best = cur;
-            let mut best_size = self.reachable_count(roots);
-            while cur + 1 < nlevels {
-                self.swap_levels(cur);
-                cur += 1;
-                let s = self.reachable_count(roots);
-                if s < best_size {
-                    best_size = s;
-                    best = cur;
-                }
-            }
-            while cur > 0 {
-                self.swap_levels(cur - 1);
-                cur -= 1;
-                let s = self.reachable_count(roots);
-                if s < best_size {
-                    best_size = s;
-                    best = cur;
-                }
-            }
-            while cur < best {
-                self.swap_levels(cur);
-                cur += 1;
-            }
-            self.gc(roots);
-        }
-        self.stats.reorders += 1;
-    }
-
     // ---- core operations -------------------------------------------------
 
     /// The single-variable function `x_var`.
@@ -604,7 +249,6 @@ impl Bdd {
     /// conversions stay bounded by the tighter [`crate::cube::MAX_VARS`].)
     pub fn var(&mut self, var: usize) -> BddRef {
         assert!(var < MAX_BDD_VARS, "variable index {var} out of range");
-        self.ensure_var(var as u32);
         self.mk(var as u32, BddRef::FALSE, BddRef::TRUE)
     }
 
@@ -620,7 +264,6 @@ impl Bdd {
 
     /// If-then-else: the universal connective all operations reduce to.
     pub fn ite(&mut self, f: BddRef, g: BddRef, h: BddRef) -> BddRef {
-        self.housekeep(&[f, g, h]);
         self.ite_raw(f, g, h)
     }
 
@@ -666,8 +309,7 @@ impl Bdd {
         if let Some(&r) = self.ite_cache.get(&key) {
             return if flip { r.complement() } else { r };
         }
-        let top = self.level_of_ref(f).min(self.level_of_ref(g)).min(self.level_of_ref(h));
-        let tv = self.level2var[top as usize];
+        let tv = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
         let (f0, f1) = self.cofactors(f, tv);
         let (g0, g1) = self.cofactors(g, tv);
         let (h0, h1) = self.cofactors(h, tv);
@@ -692,13 +334,11 @@ impl Bdd {
 
     /// Conjunction.
     pub fn and(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.housekeep(&[a, b]);
         self.and_raw(a, b)
     }
 
     /// Disjunction.
     pub fn or(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.housekeep(&[a, b]);
         self.or_raw(a, b)
     }
 
@@ -709,13 +349,11 @@ impl Bdd {
 
     /// Exclusive or.
     pub fn xor(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.housekeep(&[a, b]);
         self.ite_raw(a, b.complement(), b)
     }
 
     /// Builds the BDD of a cube (conjunction of literals).
     pub fn from_cube(&mut self, cube: &Cube) -> BddRef {
-        self.housekeep(&[]);
         self.from_cube_raw(cube)
     }
 
@@ -733,7 +371,6 @@ impl Bdd {
 
     /// Builds the BDD of a sum-of-products cover.
     pub fn from_cover(&mut self, cover: &Cover) -> BddRef {
-        self.housekeep(&[]);
         self.from_cover_raw(cover)
     }
 
@@ -775,7 +412,6 @@ impl Bdd {
 
     /// Whether two covers denote the same boolean function.
     pub fn covers_equal(&mut self, a: &Cover, b: &Cover) -> bool {
-        self.housekeep(&[]);
         let ra = self.from_cover_raw(a);
         let rb = self.from_cover_raw(b);
         ra == rb
@@ -783,7 +419,6 @@ impl Bdd {
 
     /// Whether cover `a` implies cover `b` (`a ⊆ b` as sets of minterms).
     pub fn cover_implies(&mut self, a: &Cover, b: &Cover) -> bool {
-        self.housekeep(&[]);
         let ra = self.from_cover_raw(a);
         let rb = self.from_cover_raw(b);
         self.and_raw(ra, rb.complement()) == BddRef::FALSE
@@ -836,21 +471,18 @@ impl Bdd {
 
     /// Existential quantification of a variable.
     pub fn exists(&mut self, r: BddRef, var: usize) -> BddRef {
-        self.housekeep(&[r]);
         let (lo, hi) = self.restrict_pair_raw(r, var);
         self.or_raw(lo, hi)
     }
 
     /// Universal quantification of a variable.
     pub fn forall(&mut self, r: BddRef, var: usize) -> BddRef {
-        self.housekeep(&[r]);
         let (lo, hi) = self.restrict_pair_raw(r, var);
         self.and_raw(lo, hi)
     }
 
     /// Restriction `f|_{var=value}`.
     pub fn restrict(&mut self, r: BddRef, var: usize, value: bool) -> BddRef {
-        self.housekeep(&[r]);
         let (lo, hi) = self.restrict_pair_raw(r, var);
         if value {
             hi
@@ -861,20 +493,14 @@ impl Bdd {
 
     fn restrict_pair_raw(&mut self, r: BddRef, var: usize) -> (BddRef, BddRef) {
         let v = var as u32;
-        if var >= self.var2level.len() || self.var2level[var] == FREE_VAR {
-            // Never-created variable: nothing can depend on it.
-            return (r, r);
-        }
-        let vlevel = self.level_of(v);
         fn rec(
             bdd: &mut Bdd,
             r: BddRef,
             v: u32,
-            vlevel: u32,
             value: bool,
             memo: &mut HashMap<BddRef, BddRef>,
         ) -> BddRef {
-            if r.is_terminal() || bdd.level_of_ref(r) > vlevel {
+            if bdd.var_of(r) > v {
                 return r;
             }
             if let Some(&m) = memo.get(&r) {
@@ -889,21 +515,20 @@ impl Bdd {
                     lo
                 }
             } else {
-                let lo = rec(bdd, lo, v, vlevel, value, memo);
-                let hi = rec(bdd, hi, v, vlevel, value, memo);
+                let lo = rec(bdd, lo, v, value, memo);
+                let hi = rec(bdd, hi, v, value, memo);
                 bdd.mk(n.var, lo, hi)
             };
             memo.insert(r, res);
             res
         }
-        let lo = rec(self, r, v, vlevel, false, &mut HashMap::new());
-        let hi = rec(self, r, v, vlevel, true, &mut HashMap::new());
+        let lo = rec(self, r, v, false, &mut HashMap::new());
+        let hi = rec(self, r, v, true, &mut HashMap::new());
         (lo, hi)
     }
 
     /// Whether the function depends on `var`.
     pub fn depends_on(&mut self, r: BddRef, var: usize) -> bool {
-        self.housekeep(&[r]);
         let (lo, hi) = self.restrict_pair_raw(r, var);
         lo != hi
     }
@@ -947,16 +572,9 @@ impl Bdd {
     /// (`∃ vars. f`). Equivalent to chaining [`Bdd::exists`] but with one
     /// memoized traversal.
     pub fn exists_set(&mut self, r: BddRef, vars: &VarSet) -> BddRef {
-        self.housekeep(&[r]);
-        let Some(max) = self.deepest_level(vars) else { return r };
+        let Some(max) = vars.max() else { return r };
         let mut memo = HashMap::new();
-        self.exists_set_rec(r, vars, max, &mut memo)
-    }
-
-    /// The deepest level any *created* member of `vars` sits at; `None`
-    /// if no member has ever been created (then nothing depends on them).
-    fn deepest_level(&self, vars: &VarSet) -> Option<u32> {
-        vars.iter().filter_map(|v| self.var2level.get(v).copied()).filter(|&l| l != FREE_VAR).max()
+        self.exists_set_rec(r, vars, max as u32, &mut memo)
     }
 
     fn exists_set_rec(
@@ -967,7 +585,7 @@ impl Bdd {
         memo: &mut HashMap<BddRef, BddRef>,
     ) -> BddRef {
         // Below the deepest quantified variable the function is untouched.
-        if r.is_terminal() || self.level_of_ref(r) > max {
+        if self.var_of(r) > max {
             return r;
         }
         if let Some(&m) = memo.get(&r) {
@@ -988,13 +606,9 @@ impl Bdd {
     /// transition relation, `vars` the current-state variables). Avoids
     /// ever building the (often much larger) conjunction.
     pub fn and_exists(&mut self, f: BddRef, g: BddRef, vars: &VarSet) -> BddRef {
-        self.housekeep(&[f, g]);
-        let max = match self.deepest_level(vars) {
-            Some(m) => m,
-            None => return self.and_raw(f, g),
-        };
+        let Some(max) = vars.max() else { return self.and_raw(f, g) };
         let mut memo = HashMap::new();
-        self.and_exists_rec(f, g, vars, max, &mut memo)
+        self.and_exists_rec(f, g, vars, max as u32, &mut memo)
     }
 
     fn and_exists_rec(
@@ -1011,8 +625,8 @@ impl Bdd {
         if f == BddRef::TRUE && g == BddRef::TRUE {
             return BddRef::TRUE;
         }
-        let top = self.level_of_ref(f).min(self.level_of_ref(g));
-        if top > max {
+        let tv = self.var_of(f).min(self.var_of(g));
+        if tv > max {
             // No quantified variable remains below: plain conjunction.
             return self.and_raw(f, g);
         }
@@ -1021,7 +635,6 @@ impl Bdd {
         if let Some(&r) = memo.get(&key) {
             return r;
         }
-        let tv = self.level2var[top as usize];
         let (f0, f1) = self.cofactors(f, tv);
         let (g0, g1) = self.cofactors(g, tv);
         let lo = self.and_exists_rec(f0, g0, vars, max, memo);
@@ -1055,7 +668,6 @@ impl Bdd {
             "rename map must be sorted with strictly increasing targets"
         );
         assert!(map.iter().all(|&(_, to)| to < MAX_BDD_VARS));
-        self.housekeep(&[r]);
         let mut memo = HashMap::new();
         self.rename_rec(r, map, &mut memo)
     }
@@ -1110,26 +722,17 @@ impl Bdd {
 
     /// Path-counting core shared by [`Bdd::sat_count`] and
     /// [`Bdd::sat_count_set`]: counts minterms of `r` over exactly the
-    /// variables in `vars`, ranking set members by their current level so
-    /// the count is order-independent.
+    /// variables in `vars`.
     fn count_minterms(&self, r: BddRef, vars: &VarSet) -> u128 {
-        // rank(v) = how many set variables sit above v in the current
-        // order; never-created members rank below every created one.
-        let key = |v: usize| -> u64 {
-            match self.var2level.get(v) {
-                Some(&l) if l != FREE_VAR => l as u64,
-                _ => (1u64 << 32) + v as u64,
-            }
-        };
-        let mut keys: Vec<u64> = vars.iter().map(key).collect();
-        keys.sort_unstable();
-        let total = keys.len() as u32;
+        // rank(v) = how many set variables sit above v in the order.
+        let members: Vec<usize> = vars.iter().collect();
+        let total = members.len() as u32;
         let rank = |v: u32| -> u32 {
-            if v == u32::MAX {
+            if v == TERMINAL_VAR {
                 return total;
             }
             assert!(vars.contains(v as usize), "support variable {v} is not in the counting set");
-            keys.binary_search(&key(v as usize)).expect("set key present") as u32
+            members.partition_point(|&m| m < v as usize) as u32
         };
         // base(idx) = minterms of the plain node function over the set
         // positions at and below its own rank.
@@ -1458,121 +1061,5 @@ mod tests {
             r = bdd.or(r, c);
         }
         assert_eq!(bdd.node_count(), after_first);
-    }
-
-    #[test]
-    fn gc_reclaims_garbage_and_keeps_roots_valid() {
-        let mut bdd = Bdd::new();
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let keep = bdd.xor(a, b);
-        // Build a pile of garbage.
-        for v in 2..12 {
-            let x = bdd.var(v);
-            let t = bdd.and(keep, x);
-            let _ = bdd.or(t, x);
-        }
-        let before = bdd.node_count();
-        let collected = bdd.gc(&[keep]);
-        assert!(collected > 0, "garbage must be reclaimed");
-        assert_eq!(bdd.node_count(), before - collected);
-        // The kept function is untouched.
-        for code in 0..4u64 {
-            assert_eq!(bdd.eval(keep, code), (code & 1 == 1) != (code >> 1 & 1 == 1));
-        }
-        // Freed slots are recycled, not leaked.
-        let stats = bdd.stats();
-        assert_eq!(stats.gc_runs, 1);
-        assert_eq!(stats.collected_nodes, collected);
-        let x = bdd.var(2);
-        let again = bdd.and(keep, x);
-        assert!(bdd.node_count() <= before, "slots are recycled");
-        assert!(bdd.eval(again, 0b101));
-    }
-
-    #[test]
-    fn protect_shields_roots_from_gc() {
-        let mut bdd = Bdd::new();
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let f = bdd.and(a, b);
-        bdd.protect(f);
-        bdd.gc(&[]);
-        assert!(bdd.eval(f, 0b11), "protected root survives");
-        assert!(!bdd.eval(f, 0b01));
-        bdd.unprotect(f);
-        bdd.gc(&[]);
-        assert_eq!(bdd.node_count(), 0, "unprotected root is reclaimed");
-    }
-
-    #[test]
-    fn gc_watermark_collects_automatically() {
-        let mut bdd = Bdd::new();
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let f = bdd.and(a, b);
-        bdd.protect(f);
-        bdd.set_gc_watermark(Some(4));
-        for v in 2..30 {
-            let x = bdd.var(v);
-            let _ = bdd.xor(f, x);
-        }
-        assert!(bdd.stats().gc_runs > 0, "watermark must trigger collection");
-        assert!(bdd.eval(f, 0b11));
-    }
-
-    #[test]
-    fn reorder_permutes_without_changing_functions() {
-        let mut bdd = Bdd::new();
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let c = bdd.var(2);
-        let ab = bdd.and(a, b);
-        let f = bdd.or(ab, c);
-        let count = bdd.sat_count(f, 3);
-        bdd.reorder(&[2, 0, 1]);
-        assert_eq!(bdd.order(), vec![2, 0, 1]);
-        for code in 0..8u64 {
-            let expect = (code & 1 == 1 && code >> 1 & 1 == 1) || code >> 2 & 1 == 1;
-            assert_eq!(bdd.eval(f, code), expect, "code {code:03b}");
-        }
-        assert_eq!(bdd.sat_count(f, 3), count);
-        // Results computed after the reorder still interoperate.
-        assert_eq!(bdd.restrict(f, 2, true), BddRef::TRUE);
-        let g = bdd.and(f, c);
-        assert_eq!(g, c, "f ∧ c = c since c implies f");
-        bdd.reorder(&[0, 1, 2]);
-        assert_eq!(bdd.order(), vec![0, 1, 2]);
-        assert_eq!(bdd.sat_count(f, 3), count);
-        assert!(bdd.stats().reorders >= 2);
-        assert!(bdd.stats().level_swaps > 0);
-    }
-
-    #[test]
-    fn sift_reduces_a_bad_order() {
-        let mut bdd = Bdd::new();
-        // f = x0·x3 + x1·x4 + x2·x5 is the classic order-sensitive
-        // function: interleaved pairs are linear, split halves blow up.
-        bdd.reorder(&[0, 1, 2, 3, 4, 5]);
-        let mut f = BddRef::FALSE;
-        for i in 0..3 {
-            let x = bdd.var(i);
-            let y = bdd.var(i + 3);
-            let t = bdd.and(x, y);
-            f = bdd.or(f, t);
-        }
-        let before = {
-            bdd.gc(&[f]);
-            bdd.node_count()
-        };
-        bdd.sift(&[f]);
-        let after = bdd.node_count();
-        assert!(after <= before, "sifting never grows the chosen layout");
-        assert!(after < before, "split-pair order must shrink under sifting");
-        for code in 0..64u64 {
-            let expect = (0..3).any(|i| code >> i & 1 == 1 && code >> (i + 3) & 1 == 1);
-            assert_eq!(bdd.eval(f, code), expect, "code {code:06b}");
-        }
-        assert!(bdd.stats().reorders >= 1);
     }
 }

@@ -37,7 +37,6 @@ pub struct Config {
     pub(crate) csc_repair: CscRepairConfig,
     pub(crate) reach: ReachConfig,
     pub(crate) cache_capacity: Option<usize>,
-    pub(crate) synth_jobs: usize,
 }
 
 impl Default for Config {
@@ -48,7 +47,6 @@ impl Default for Config {
             csc_repair: CscRepairConfig::default(),
             reach: ReachConfig::default(),
             cache_capacity: None,
-            synth_jobs: 1,
         }
     }
 }
@@ -63,15 +61,6 @@ impl Config {
     /// per-limit variant); [`ConfigBuilder::build`] re-validates.
     pub fn to_builder(&self) -> ConfigBuilder {
         ConfigBuilder { config: self.clone() }
-    }
-
-    /// Adopts a classic [`FlowConfig`] wholesale (compatibility seam for
-    /// code migrating from the PR 1 per-stage setters). The remaining
-    /// knobs (OR-tree limit, CSC-repair budget, reachability limits) keep
-    /// their defaults. Not validated: the historical entry points accepted
-    /// any [`FlowConfig`].
-    pub fn from_flow_config(flow: &FlowConfig) -> Self {
-        Config { flow: flow.clone(), ..Config::default() }
     }
 
     /// Gate complexity target: every cover must fit this many literals.
@@ -129,14 +118,6 @@ impl Config {
         self.cache_capacity
     }
 
-    /// Worker threads for per-signal synthesis (cover extraction,
-    /// decomposition resynthesis, mapping). Like `reach.jobs`, the value
-    /// never changes output bytes — results merge in signal-index order —
-    /// so it is excluded from the engine's elaboration cache key.
-    pub fn synth_jobs(&self) -> usize {
-        self.synth_jobs
-    }
-
     /// A stable 64-bit fingerprint of **every** knob in this
     /// configuration, suitable as the configuration component of a
     /// content-addressed cache key (the persistent result cache of
@@ -147,8 +128,8 @@ impl Config {
     /// The digest is FNV-1a 64 ([`crate::digest`]) over a canonical text
     /// rendering of the knobs, so it is identical across processes and
     /// machines. It is deliberately *conservative*: knobs that do not
-    /// change response bytes (reachability jobs, the spill budget under
-    /// an in-memory strategy, the elaboration-cache capacity) still
+    /// change response bytes (the spill budget under an in-memory
+    /// strategy, the elaboration-cache capacity) still
     /// participate, trading a few spurious cache misses for never having
     /// to reason about which knob is observable where. A 64-bit digest
     /// can collide; consumers must verify the full key on use (see
@@ -183,12 +164,11 @@ impl Config {
         );
         let _ = write!(
             canon,
-            "reach={};rmax={};rtok={};rjobs={};rmat={};rbud={};rdir={:?};rshards={};rckevery={};\
-             rckdir={:?};rresume={:?};cachecap={:?};sjobs={}",
+            "reach={};rmax={};rtok={};rmat={};rbud={};rdir={:?};rshards={};rckevery={};\
+             rckdir={:?};rresume={:?};cachecap={:?}",
             r.strategy,
             r.max_states,
             r.max_tokens,
-            r.jobs,
             r.materialize_limit,
             r.memory_budget,
             r.spill_dir,
@@ -197,7 +177,6 @@ impl Config {
             r.checkpoint_dir,
             r.resume,
             self.cache_capacity,
-            self.synth_jobs,
         );
         crate::digest::fnv1a64(canon.as_bytes())
     }
@@ -308,13 +287,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Worker threads for reachability frontier expansion (packed
-    /// strategy only; results are byte-identical whatever the value).
-    pub fn reach_jobs(mut self, jobs: usize) -> Self {
-        self.config.reach.jobs = jobs;
-        self
-    }
-
     /// Resident-memory budget in bytes of the spill strategy's working
     /// set (shorthand for [`Self::reach_config`]; ignored by the
     /// in-memory strategies; must be at least 1).
@@ -374,14 +346,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Worker threads for per-signal synthesis across the Covers →
-    /// Decomposed → Mapped stages (default 1 = sequential; must be at
-    /// least 1; reports are byte-identical whatever the value).
-    pub fn synth_jobs(mut self, jobs: usize) -> Self {
-        self.config.synth_jobs = jobs;
-        self
-    }
-
     /// Validates and freezes the configuration.
     ///
     /// # Errors
@@ -424,9 +388,6 @@ impl ConfigBuilder {
         if c.cache_capacity == Some(0) {
             return fail("cache_capacity must be at least 1 (omit it for an unbounded cache)");
         }
-        if c.synth_jobs == 0 {
-            return fail("synth_jobs must be at least 1 (1 = sequential)");
-        }
         Ok(self.config)
     }
 }
@@ -457,7 +418,6 @@ mod tests {
             .verify_max_states(1234)
             .reach_max_states(5678)
             .reach_strategy(ReachStrategy::Explicit)
-            .reach_jobs(4)
             .reach_materialize_limit(4321)
             .reach_memory_budget(9 * 1024 * 1024)
             .reach_spill_dir(Some(std::path::PathBuf::from("/tmp/simap-test")))
@@ -466,7 +426,6 @@ mod tests {
             .reach_checkpoint_dir(Some(std::path::PathBuf::from("/tmp/simap-ckpt")))
             .reach_resume(Some(std::path::PathBuf::from("/tmp/simap-ckpt")))
             .cache_capacity(7)
-            .synth_jobs(6)
             .build()
             .unwrap();
         assert_eq!(config.literal_limit(), 4);
@@ -478,7 +437,6 @@ mod tests {
         assert_eq!(config.verify_config().max_states, 1234);
         assert_eq!(config.reach_config().max_states, 5678);
         assert_eq!(config.reach_config().strategy, ReachStrategy::Explicit);
-        assert_eq!(config.reach_config().jobs, 4);
         assert_eq!(config.reach_config().materialize_limit, 4321);
         assert_eq!(config.reach_config().memory_budget, 9 * 1024 * 1024);
         assert_eq!(
@@ -496,7 +454,6 @@ mod tests {
             Some(std::path::Path::new("/tmp/simap-ckpt"))
         );
         assert_eq!(config.cache_capacity(), Some(7));
-        assert_eq!(config.synth_jobs(), 6);
     }
 
     #[test]
@@ -512,7 +469,6 @@ mod tests {
             Config::builder().reach_shards(0),
             Config::builder().reach_checkpoint_every(4),
             Config::builder().cache_capacity(0),
-            Config::builder().synth_jobs(0),
         ] {
             let err = builder.build().unwrap_err();
             assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
@@ -541,27 +497,17 @@ mod tests {
             Config::builder().or_limit(2).build().unwrap(),
             Config::builder().reach_strategy(ReachStrategy::Symbolic).build().unwrap(),
             Config::builder().reach_max_states(9999).build().unwrap(),
-            Config::builder().reach_jobs(4).build().unwrap(),
+            Config::builder().reach_shards(4).build().unwrap(),
             Config::builder()
                 .reach_checkpoint_every(8)
                 .reach_checkpoint_dir(Some(std::path::PathBuf::from("/tmp/simap-ckpt")))
                 .build()
                 .unwrap(),
             Config::builder().cache_capacity(3).build().unwrap(),
-            Config::builder().synth_jobs(4).build().unwrap(),
         ] {
             let digest = variant.digest();
             assert!(!seen.contains(&digest), "digest collision for {variant:?}");
             seen.push(digest);
         }
-    }
-
-    #[test]
-    fn from_flow_config_preserves_flow_knobs() {
-        let mut flow = FlowConfig::with_limit(3);
-        flow.repair_csc = true;
-        let config = Config::from_flow_config(&flow);
-        assert_eq!(config.literal_limit(), 3);
-        assert!(config.repair_csc());
     }
 }

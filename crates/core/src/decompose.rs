@@ -16,9 +16,7 @@
 //! which guarantees termination.
 
 use crate::insertion::{compute_insertion, insert_signal, Insertion};
-use crate::mc::{
-    run_parallel, synthesize_mc_jobs, synthesize_signal, McError, McImpl, SignalBody, SignalImpl,
-};
+use crate::mc::{synthesize_mc, synthesize_signal, McError, McImpl, SignalBody, SignalImpl};
 use crate::observer::{FlowObserver, NullObserver};
 use crate::progress::estimate_progress;
 use simap_boolean::{generate_divisors, Cover, DivisorConfig};
@@ -143,26 +141,8 @@ pub fn decompose_with(
     config: &DecomposeConfig,
     observer: &mut dyn FlowObserver,
 ) -> Result<DecomposeResult, McError> {
-    decompose_with_jobs(sg, config, 1, observer)
-}
-
-/// Like [`decompose_with`], but fans the independent per-candidate and
-/// per-signal synthesis work across `jobs` worker threads. Candidates are
-/// still folded in ranked order and signals merged in signal-index order,
-/// so the result is byte-identical to the sequential run — `jobs` only
-/// changes wall-clock time, never output (which is why
-/// `Config::synth_jobs` is excluded from the engine's elaboration key).
-///
-/// # Errors
-/// See [`decompose`].
-pub fn decompose_with_jobs(
-    sg: &StateGraph,
-    config: &DecomposeConfig,
-    jobs: usize,
-    observer: &mut dyn FlowObserver,
-) -> Result<DecomposeResult, McError> {
     let mut sg = sg.clone();
-    let mut mc = synthesize_mc_jobs(&sg, jobs)?;
+    let mut mc = synthesize_mc(&sg)?;
     let mut inserted: Vec<String> = Vec::new();
     let mut steps: Vec<DecomposeStep> = Vec::new();
 
@@ -221,25 +201,17 @@ pub fn decompose_with_jobs(
             // Evaluate the top-ranked candidates exactly (insertion +
             // verification + resynthesis of the *affected* signals only —
             // covers that do not mention the new signal and whose events
-            // are not delayed remain valid verbatim) and commit the best.
-            // Candidates are independent, so they run on the worker pool;
-            // folding the results in ranked order below keeps the outcome
-            // identical to the sequential loop (which also tries every
-            // candidate and keeps the first strictly-better one).
-            let tried: Vec<(i64, Cover, Insertion)> =
-                ranked.into_iter().take(config.max_candidates_tried).collect();
-            // When several candidates already occupy the pool, each one
-            // resynthesizes its affected signals inline.
-            let inner_jobs = if tried.len() >= 2 { 1 } else { jobs };
+            // are not delayed remain valid verbatim) and commit the best:
+            // every candidate is tried, and the first strictly-better one
+            // in ranked order wins.
             let name = format!("x{}", inserted.len());
-            let evaluated = run_parallel(&tried, jobs, |(_, f, ins)| {
+            let evaluate = |f: &Cover, ins: &Insertion| {
                 let candidate_sg = insert_signal(&sg, ins, &name, SignalKind::Internal).ok()?;
                 if !check_all(&candidate_sg).is_ok() {
                     return None;
                 }
                 let candidate_mc =
-                    resynthesize_affected(&candidate_sg, &mc, ins, *target_signal, inner_jobs)
-                        .ok()?;
+                    resynthesize_affected(&candidate_sg, &mc, *target_signal).ok()?;
                 if config.ack_mode == AckMode::Local {
                     let x = SignalId(candidate_sg.signal_count() - 1);
                     if !locally_acknowledged(&candidate_mc, *target_signal, x) {
@@ -252,9 +224,10 @@ pub fn decompose_with_jobs(
                 }
                 let area = crate::flow::si_cost(&candidate_mc, config.literal_limit.max(2)).area();
                 Some((excess_after, area, candidate_sg, candidate_mc, f.clone()))
-            });
+            };
             let mut best: Option<(usize, usize, StateGraph, McImpl, Cover)> = None;
-            for candidate in evaluated.into_iter().flatten() {
+            let tried = ranked.iter().take(config.max_candidates_tried);
+            for candidate in tried.filter_map(|(_, f, ins)| evaluate(f, ins)) {
                 let (excess_after, area, ..) = &candidate;
                 if best.as_ref().map(|(e, a, ..)| (excess_after, area) < (e, a)).unwrap_or(true) {
                     best = Some(candidate);
@@ -269,7 +242,7 @@ pub fn decompose_with_jobs(
                 let merged = if config.ack_mode == AckMode::Local {
                     candidate_mc
                 } else {
-                    let full = synthesize_mc_jobs(&candidate_sg, jobs)?;
+                    let full = synthesize_mc(&candidate_sg)?;
                     merge_cheaper(full, candidate_mc)
                 };
                 let excess_after = excess(&merged, config.literal_limit);
@@ -308,11 +281,8 @@ pub fn decompose_with_jobs(
 fn resynthesize_affected(
     candidate_sg: &StateGraph,
     mc: &McImpl,
-    ins: &Insertion,
     target: SignalId,
-    jobs: usize,
 ) -> Result<McImpl, McError> {
-    let _ = ins;
     let x = SignalId(candidate_sg.signal_count() - 1);
     let mut affected: HashSet<SignalId> = HashSet::new();
     affected.insert(target);
@@ -332,20 +302,19 @@ fn resynthesize_affected(
         }
     }
 
-    let targets = candidate_sg.implementable_signals();
-    let results = run_parallel(&targets, jobs, |&signal| {
-        if affected.contains(&signal) {
-            synthesize_signal(candidate_sg, signal)
-        } else {
-            let previous =
-                mc.signal_impl(signal).expect("unaffected signal existed before the insertion");
-            Ok(previous.clone())
-        }
-    });
-    let mut signals = Vec::with_capacity(results.len());
-    for result in results {
-        signals.push(result?);
-    }
+    let signals = candidate_sg
+        .implementable_signals()
+        .into_iter()
+        .map(|signal| {
+            if affected.contains(&signal) {
+                synthesize_signal(candidate_sg, signal)
+            } else {
+                let previous =
+                    mc.signal_impl(signal).expect("unaffected signal existed before the insertion");
+                Ok(previous.clone())
+            }
+        })
+        .collect::<Result<_, _>>()?;
     Ok(McImpl { signals })
 }
 

@@ -65,8 +65,6 @@ pub(crate) struct ElabKey {
     /// carry the [`simap_stg::ReachStats`] of the run that filled them —
     /// keying by strategy keeps those counters honest (and lets a
     /// differential harness elaborate both ways through one engine).
-    /// `ReachConfig::jobs` is deliberately *not* part of the key: it is
-    /// pure execution parallelism with a byte-identical-output contract.
     reach_strategy: simap_stg::ReachStrategy,
     /// The symbolic strategy's materialization threshold changes whether
     /// an elaboration succeeds at all, so it participates too — but only
@@ -80,8 +78,8 @@ pub(crate) struct ElabKey {
     /// the run's [`simap_stg::SpillCounters`], which the budget, shard
     /// count and scratch directory all shape (normalized to `0`/`None`
     /// under the in-memory strategies). The checkpoint knobs
-    /// (`checkpoint_every`, `checkpoint_dir`, `resume`) are excluded
-    /// like `jobs`: a resumed run is byte-identical to a cold one by
+    /// (`checkpoint_every`, `checkpoint_dir`, `resume`) are excluded: a
+    /// resumed run is byte-identical to a cold one by
     /// contract, so a warm cache entry is exactly the result a resume
     /// would have recomputed.
     reach_memory_budget: usize,

@@ -413,7 +413,7 @@ pub struct FlowReport {
     pub outcome: DecomposeResult,
 }
 
-/// Options for [`run_flow`].
+/// The decomposition and verification knobs of a [`crate::Config`].
 #[derive(Debug, Clone)]
 pub struct FlowConfig {
     /// Decomposition configuration (literal limit etc.).
@@ -440,44 +440,6 @@ impl FlowConfig {
     }
 }
 
-/// Runs the full mapping flow on a specification.
-///
-/// Deprecated compatibility shim over [`crate::pipeline::Synthesis`]: the
-/// pipeline exposes the same flow as typed stages, a unified
-/// [`crate::Error`] and progress observers. One historical wart is kept
-/// intentionally: when `repair_csc` is on and the repair *fails*, this
-/// shim falls back to the unrepaired graph (so the error reported is the
-/// plain CSC conflict, as before). The pipeline instead surfaces
-/// [`crate::Error::CscRepairFailed`] with the original conflict list.
-///
-/// # Errors
-/// Returns [`crate::mc::McError`] when the specification violates CSC
-/// (and `repair_csc` is off or the repair fails).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `simap_core::pipeline::Synthesis` (e.g. \
-            `Synthesis::from_state_graph(sg.clone()).flow_config(config).run()`)"
-)]
-pub fn run_flow(sg: &StateGraph, config: &FlowConfig) -> Result<FlowReport, crate::mc::McError> {
-    use crate::pipeline::Synthesis;
-    let run = |repair: bool| {
-        let mut full = crate::config::Config::from_flow_config(config);
-        full.flow.repair_csc = repair;
-        Synthesis::from_state_graph(sg.clone()).config(&full).run()
-    };
-    let outcome = match run(config.repair_csc) {
-        Err(crate::Error::CscRepairFailed { .. }) => run(false),
-        other => other,
-    };
-    match outcome {
-        Ok(report) => Ok(report),
-        Err(crate::Error::CscViolation { signal, code, .. }) => {
-            Err(crate::mc::McError::CscConflict { signal, code })
-        }
-        Err(e) => unreachable!("state-graph sources only fail on CSC: {e}"),
-    }
-}
-
 /// Internal signals of a state graph (the inserted ones plus any the spec
 /// already had).
 pub fn internal_signal_names(sg: &StateGraph) -> Vec<String> {
@@ -485,9 +447,9 @@ pub fn internal_signal_names(sg: &StateGraph) -> Vec<String> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // `run_flow` stays covered until the shim is removed
 mod tests {
     use super::*;
+    use crate::pipeline::Synthesis;
     use simap_netlist::{verify_speed_independence, VerifyConfig};
     use simap_sg::{check_all, Event, Signal, SignalId, StateGraphBuilder};
 
@@ -537,10 +499,14 @@ mod tests {
         bd.build(rising[&0]).unwrap()
     }
 
+    fn run(sg: &StateGraph) -> FlowReport {
+        Synthesis::from_state_graph(sg.clone()).run().unwrap()
+    }
+
     #[test]
     fn handshake_flow_verifies() {
         let sg = handshake_sg();
-        let report = run_flow(&sg, &FlowConfig::with_limit(2)).unwrap();
+        let report = run(&sg);
         assert_eq!(report.inserted, Some(0));
         assert_eq!(report.verified, Some(true));
         assert!(report.si_cost.literals >= 1);
@@ -549,7 +515,7 @@ mod tests {
     #[test]
     fn celement2_standard_c_verifies() {
         let sg = celement_sg(2);
-        let report = run_flow(&sg, &FlowConfig::with_limit(2)).unwrap();
+        let report = run(&sg);
         assert_eq!(report.inserted, Some(0));
         assert_eq!(report.verified, Some(true), "standard-C C element must be SI");
         assert_eq!(report.si_cost.c_elements, 1);
@@ -559,7 +525,7 @@ mod tests {
     #[test]
     fn celement3_decomposed_and_verified() {
         let sg = celement_sg(3);
-        let report = run_flow(&sg, &FlowConfig::with_limit(2)).unwrap();
+        let report = run(&sg);
         assert!(report.inserted.unwrap_or(0) >= 1);
         assert_eq!(report.verified, Some(true), "decomposed C3 must stay SI");
         assert!(check_all(&report.outcome.sg).is_ok());
@@ -570,8 +536,8 @@ mod tests {
     #[test]
     fn non_si_baseline_costs_initial_impl() {
         let sg = celement_sg(6);
-        let report =
-            run_flow(&sg, &FlowConfig { verify: false, ..FlowConfig::with_limit(2) }).unwrap();
+        let config = crate::Config::builder().verify(false).build().unwrap();
+        let report = Synthesis::from_state_graph(sg).config(&config).run().unwrap();
         // Initial implementation: set = 6-lit AND, reset = 6-lit AND.
         // tech_decomp at 2: 10 + 10 literals + 1 C.
         assert_eq!(report.non_si_cost, Cost { literals: 20, c_elements: 1 });

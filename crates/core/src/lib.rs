@@ -48,8 +48,7 @@
 //! through [`ConfigBuilder::reach_strategy`]:
 //!
 //! * [`simap_stg::ReachStrategy::Packed`] (default) — bit-packed
-//!   markings in a contiguous arena, mask-compiled transitions, optional
-//!   parallel frontier expansion via [`ConfigBuilder::reach_jobs`]; the
+//!   markings in a contiguous arena, mask-compiled transitions; the
 //!   fastest way to an explicit graph.
 //! * [`simap_stg::ReachStrategy::Explicit`] — the legacy explicit BFS,
 //!   kept as a differential oracle; byte-identical graphs and errors.
@@ -98,31 +97,9 @@
 //! # Ok::<(), simap_core::Error>(())
 //! ```
 //!
-//! **Which jobs knob does what.** Four deterministic fan-outs compose
-//! freely, one per granularity:
-//!
-//! | Knob | Fans out | Scope |
-//! |------|----------|-------|
-//! | [`ConfigBuilder::reach_jobs`] | frontier expansion inside one elaboration | one STG → state-graph run |
-//! | [`ConfigBuilder::synth_jobs`] | per-signal cover synthesis ([`mc::synthesize_mc_jobs`]) and decomposition candidate evaluation ([`decompose::decompose_with_jobs`]) | one flow's Covers + Decompose stages |
-//! | [`Batch::jobs`] | whole specifications across a worker pool | many flows, one process |
-//! | `simap serve --jobs` | concurrent HTTP jobs over one shared engine | many flows, many clients |
-//!
-//! `synth_jobs` merges per-signal results in signal-index order and
-//! ranks decomposition candidates exactly as the sequential loop does,
-//! so reports, [`FlowObserver`] event sequences and netlists are
-//! byte-identical at any fan-out; like `reach_jobs` it is excluded from
-//! the elaboration cache key:
-//!
-//! ```
-//! use simap_core::{report_json, Config, Engine};
-//!
-//! let engine = Engine::new(Config::builder().synth_jobs(4).build()?);
-//! let report = engine.synthesize("hazard")?;
-//! let sequential = Engine::new(Config::builder().build()?).synthesize("hazard")?;
-//! assert_eq!(report_json(&report), report_json(&sequential));
-//! # Ok::<(), simap_core::Error>(())
-//! ```
+//! Every synthesis run is single-threaded; the only parallelism is
+//! between independent runs — [`Batch::jobs`] within one process and
+//! `simap serve --jobs` across HTTP clients.
 //!
 //! Stepping through the typed stages instead of running one-shot — every
 //! stage artifact is `Send + 'static` and can be moved across threads:
@@ -148,16 +125,14 @@
 //!
 //! ## Deprecation policy
 //!
-//! Configuration spread across per-stage setters
-//! (`Synthesis::literal_limit`, `Batch::verify`, …) was superseded in 0.3
-//! by [`Config`]/[`Engine`]; the setters remain available as
-//! `#[deprecated]` shims with unchanged behavior for at least one minor
-//! release before removal, as does the flow-level free function
-//! [`flow::run_flow`] (deprecated in 0.2). Algorithm primitives
-//! ([`mc::synthesize_mc`], [`csc::repair_csc`],
+//! A public item slated for removal is first marked `#[deprecated]` with
+//! a note naming its replacement, and is removed after one minor release.
+//! The 0.2/0.3 shims (the flow-level free function and the per-stage
+//! `Synthesis`/`Batch` setters) completed that cycle and were removed in
+//! 0.12; configure runs through [`Config`]. Algorithm
+//! primitives ([`mc::synthesize_mc`], [`csc::repair_csc`],
 //! [`insertion::compute_insertion`], [`flow::build_circuit`], …) are the
-//! stable substrate the pipeline itself is built on and are **not**
-//! deprecated.
+//! stable substrate the pipeline itself is built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -185,8 +160,6 @@ pub use decompose::{
 pub use digest::{fnv1a64, Fnv64};
 pub use engine::{CacheStats, Engine};
 pub use error::{Error, Stage};
-#[allow(deprecated)] // the shim stays reachable from its historical path
-pub use flow::run_flow;
 pub use flow::{
     build_circuit, build_circuit_with_or_limit, build_decomposed_circuit, non_si_cost, si_cost,
     FlowConfig, FlowReport,
@@ -196,8 +169,8 @@ pub use insertion::{
     InsertionError,
 };
 pub use mc::{
-    synthesize_mc, synthesize_mc_jobs, synthesize_signal, validate_mc, McError, McImpl,
-    RegionCover, SignalBody, SignalImpl,
+    synthesize_mc, synthesize_signal, validate_mc, McError, McImpl, RegionCover, SignalBody,
+    SignalImpl,
 };
 pub use observer::{
     EventObserver, FlowEvent, FlowObserver, NullObserver, RecordingObserver, StderrObserver,

@@ -192,75 +192,12 @@ impl std::error::Error for McError {}
 /// # Errors
 /// Returns [`McError::CscConflict`] when the specification lacks CSC.
 pub fn synthesize_mc(sg: &StateGraph) -> Result<McImpl, McError> {
-    synthesize_mc_jobs(sg, 1)
-}
-
-/// Like [`synthesize_mc`], fanning the per-signal work across `jobs`
-/// worker threads. Each signal's synthesis is independent, and results
-/// merge in signal-index order, so the returned implementation — and any
-/// error — is byte-identical to the sequential run.
-///
-/// # Errors
-/// Returns [`McError::CscConflict`] when the specification lacks CSC;
-/// with several conflicting signals, the same (first-in-signal-order)
-/// conflict the sequential run reports.
-pub fn synthesize_mc_jobs(sg: &StateGraph, jobs: usize) -> Result<McImpl, McError> {
-    let targets = sg.implementable_signals();
-    if jobs <= 1 || targets.len() < 2 {
-        let mut signals = Vec::with_capacity(targets.len());
-        for signal in targets {
-            signals.push(synthesize_signal(sg, signal)?);
-        }
-        return Ok(McImpl { signals });
-    }
-    let results = run_parallel(&targets, jobs, |&signal| synthesize_signal(sg, signal));
-    let mut signals = Vec::with_capacity(results.len());
-    for result in results {
-        signals.push(result?);
-    }
-    Ok(McImpl { signals })
-}
-
-/// Deterministic fan-out shared by the per-signal synthesis paths: an
-/// atomic cursor hands `items` to `jobs` scoped workers, every result
-/// lands in its input-index slot, and the merged vector is returned in
-/// input order — so callers observe the exact sequential outcome
-/// regardless of completion order. With `jobs <= 1` (or one item) the
-/// work runs inline on the calling thread. The worker count is clamped
-/// to the machine's available parallelism: since the merge already makes
-/// results independent of thread count, oversubscribing a small host
-/// would only add scheduling overhead, never change output.
-pub(crate) fn run_parallel<I, T, F>(items: &[I], jobs: usize, work: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(usize::MAX);
-    let jobs = jobs.min(items.len()).min(cores);
-    if jobs <= 1 {
-        return items.iter().map(work).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = work(&items[i]);
-                *slots[i].lock().expect("slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
+    let signals = sg
+        .implementable_signals()
         .into_iter()
-        .map(|slot| slot.into_inner().expect("slot poisoned").expect("worker filled every slot"))
-        .collect()
+        .map(|signal| synthesize_signal(sg, signal))
+        .collect::<Result<_, _>>()?;
+    Ok(McImpl { signals })
 }
 
 /// Synthesizes the implementation of one signal.

@@ -51,10 +51,8 @@ pub trait FlowObserver {
 
     /// The Covers stage synthesized one signal's monotonous covers.
     /// Always fired in signal-index order, after all CSC callbacks of the
-    /// run: the per-signal work itself may execute on
-    /// `Config::synth_jobs` worker threads, but events are emitted from
-    /// the merged result, so the stream is canonical regardless of
-    /// completion order (and identical between cold and cached runs).
+    /// run, from the finished implementation — so the stream is identical
+    /// between cold and cached runs.
     fn on_signal_synth(&mut self, signal: &str, cubes: usize, literals: usize) {
         let _ = (signal, cubes, literals);
     }

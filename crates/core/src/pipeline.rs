@@ -18,8 +18,7 @@
 //! `Send + 'static`, so they can be moved freely across worker threads.
 //!
 //! Runs are configured with one validated [`Config`] (see
-//! [`Synthesis::config`]); the per-knob setters from the 0.2 API remain as
-//! deprecated shims. The one-shot [`Synthesis::run`] reproduces the
+//! [`Synthesis::config`]). The one-shot [`Synthesis::run`] reproduces the
 //! classic [`FlowReport`] end to end, and [`Batch`] drives many
 //! specifications through the same configuration — sequentially or on a
 //! worker pool ([`Batch::jobs`]) with deterministic, order-preserving
@@ -36,15 +35,15 @@
 //! ```
 
 use crate::config::Config;
-use crate::csc::{csc_conflicts, repair_csc, CscRepairConfig};
-use crate::decompose::{decompose_with_jobs, AckMode, DecomposeResult, DecomposeStep};
+use crate::csc::{csc_conflicts, repair_csc};
+use crate::decompose::{decompose_with, DecomposeResult, DecomposeStep};
 use crate::engine::{CachedElaboration, Engine, SourceKey};
 use crate::error::{Error, Stage};
-use crate::flow::{build_circuit_with_or_limit, non_si_cost, si_cost, FlowConfig, FlowReport};
-use crate::mc::{synthesize_mc_jobs, McImpl};
+use crate::flow::{build_circuit_with_or_limit, non_si_cost, si_cost, FlowReport};
+use crate::mc::{synthesize_mc, McImpl};
 use crate::observer::{FlowObserver, NullObserver};
 use crate::report::BatchRow;
-use simap_netlist::{verify_speed_independence, Circuit, Cost, VerifyConfig, VerifyError};
+use simap_netlist::{verify_speed_independence, Circuit, Cost, VerifyError};
 use simap_sg::StateGraph;
 use simap_stg::{benchmark, elaborate_with_stats, parse_g, write_g, ReachStats, Stg};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -179,113 +178,6 @@ impl Synthesis {
     /// [`Engine::benchmark`] and friends.
     pub(crate) fn engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Gate complexity target: every cover must fit `limit` literals
-    /// (default 2).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().literal_limit(n)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn literal_limit(mut self, limit: usize) -> Self {
-        self.ctx.config.flow.decompose.literal_limit = limit;
-        self
-    }
-
-    /// Splits second-level OR gates into balanced trees of at most
-    /// `limit` inputs (default: natural fanin; the split is free with
-    /// respect to speed-independence).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().or_limit(n)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn or_limit(mut self, limit: usize) -> Self {
-        self.ctx.config.or_limit = Some(limit);
-        self
-    }
-
-    /// Repairs Complete State Coding violations by state-signal insertion
-    /// before cover synthesis (default off: a CSC violation is then an
-    /// error, as in the paper's setting).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().repair_csc(on)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn repair_csc(mut self, on: bool) -> Self {
-        self.ctx.config.flow.repair_csc = on;
-        self
-    }
-
-    /// The insertion budget of the CSC repair.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().csc_repair_config(c)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn csc_repair_config(mut self, config: CscRepairConfig) -> Self {
-        self.ctx.config.csc_repair = config;
-        self
-    }
-
-    /// Acknowledgment policy of the decomposition loop (default:
-    /// [`AckMode::Global`], the paper's method).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().ack_mode(m)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn ack_mode(mut self, mode: AckMode) -> Self {
-        self.ctx.config.flow.decompose.ack_mode = mode;
-        self
-    }
-
-    /// Hard cap on signals inserted by the decomposition loop.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().max_insertions(n)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn max_insertions(mut self, n: usize) -> Self {
-        self.ctx.config.flow.decompose.max_insertions = n;
-        self
-    }
-
-    /// Whether [`Synthesis::run`] verifies the final netlist (default on;
-    /// the staged [`Mapped::verify`] is unaffected).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().verify(on)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn verify(mut self, on: bool) -> Self {
-        self.ctx.config.flow.verify = on;
-        self
-    }
-
-    /// State cap for the speed-independence verifier.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().verify_config(c)` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn verify_config(mut self, config: VerifyConfig) -> Self {
-        self.ctx.config.flow.verify_config = config;
-        self
-    }
-
-    /// Adopts a classic [`FlowConfig`] wholesale (compatibility seam for
-    /// code migrating from [`crate::flow::run_flow`]).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::from_flow_config` with \
-                                          `Synthesis::config`"
-    )]
-    pub fn flow_config(mut self, config: &FlowConfig) -> Self {
-        self.ctx.config.flow = config.clone();
         self
     }
 
@@ -452,8 +344,7 @@ impl Synthesis {
     /// Runs the whole flow — elaborate, covers, decompose, map and (unless
     /// disabled) verify — and returns the classic [`FlowReport`].
     ///
-    /// Matching the historical `run_flow` contract, a verification
-    /// *refutation* is reported as `verified == Some(false)` rather than
+    /// A verification *refutation* is reported as `verified == Some(false)` rather than
     /// an error; use the staged [`Mapped::verify`] for a typed verdict.
     ///
     /// # Errors
@@ -513,7 +404,7 @@ impl Elaborated {
     /// specification lacks Complete State Coding.
     pub fn covers(mut self) -> Result<Covers, Error> {
         self.ctx.start(Stage::Covers, self.sg.name());
-        let mc = match synthesize_mc_jobs(&self.sg, self.ctx.config.synth_jobs()) {
+        let mc = match synthesize_mc(&self.sg) {
             Ok(mc) => mc,
             Err(crate::mc::McError::CscConflict { signal, code }) => {
                 return Err(Error::CscViolation {
@@ -524,8 +415,8 @@ impl Elaborated {
             }
         };
         // Per-signal progress events fire from the merged result, in
-        // signal-index order — the canonical stream is the same at any
-        // `synth_jobs` and identical between cold and cached elaborations
+        // signal-index order — the canonical stream is identical between
+        // cold and cached elaborations
         // (all CSC callbacks belong to the Elaborate stage and precede
         // these by construction).
         for signal in &mc.signals {
@@ -589,15 +480,13 @@ impl Covers {
     /// [`Elaborated::covers`]).
     pub fn decompose(mut self) -> Result<Decomposed, Error> {
         self.ctx.start(Stage::Decompose, self.sg.name());
-        let outcome = decompose_with_jobs(
-            &self.sg,
-            &self.ctx.config.flow.decompose,
-            self.ctx.config.synth_jobs(),
-            self.ctx.observer.as_mut(),
-        )
-        .map_err(|crate::mc::McError::CscConflict { signal, code }| {
-            Error::CscViolation { signal, code, conflicts: csc_conflicts(&self.sg) }
-        })?;
+        let outcome =
+            decompose_with(&self.sg, &self.ctx.config.flow.decompose, self.ctx.observer.as_mut())
+                .map_err(|crate::mc::McError::CscConflict { signal, code }| Error::CscViolation {
+                signal,
+                code,
+                conflicts: csc_conflicts(&self.sg),
+            })?;
         self.ctx.end(Stage::Decompose);
         Ok(Decomposed {
             ctx: self.ctx,
@@ -762,7 +651,7 @@ impl Mapped {
         self.into_verified(None)
     }
 
-    /// Verifies with the historical `run_flow` verdict mapping: a
+    /// Verifies with the one-shot [`Synthesis::run`] verdict mapping: a
     /// refutation becomes `verified == Some(false)` in the report instead
     /// of an [`Error::Verify`] — for drivers (like the CLI) that report
     /// refutation as data rather than aborting.
@@ -895,63 +784,6 @@ impl Batch {
         self
     }
 
-    fn map_config(mut self, f: impl FnOnce(&mut Config)) -> Self {
-        let mut config = self.engine.config().clone();
-        f(&mut config);
-        self.engine = self.engine.with_config(config);
-        self
-    }
-
-    /// Whether each run verifies its final netlist (default on).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().verify(on)` with \
-                                          `Batch::config`"
-    )]
-    pub fn verify(self, on: bool) -> Self {
-        self.map_config(|c| c.flow.verify = on)
-    }
-
-    /// State cap for the speed-independence verifier.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().verify_config(c)` with \
-                                          `Batch::config`"
-    )]
-    pub fn verify_config(self, config: VerifyConfig) -> Self {
-        self.map_config(|c| c.flow.verify_config = config)
-    }
-
-    /// Repairs CSC violations before synthesis (default off).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().repair_csc(on)` with \
-                                          `Batch::config`"
-    )]
-    pub fn repair_csc(self, on: bool) -> Self {
-        self.map_config(|c| c.flow.repair_csc = on)
-    }
-
-    /// Acknowledgment policy for every run.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().ack_mode(m)` with \
-                                          `Batch::config`"
-    )]
-    pub fn ack_mode(self, mode: AckMode) -> Self {
-        self.map_config(|c| c.flow.decompose.ack_mode = mode)
-    }
-
-    /// OR-tree fanin bound for every run.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Config::builder().or_limit(n)` with \
-                                          `Batch::config`"
-    )]
-    pub fn or_limit(self, limit: usize) -> Self {
-        self.map_config(|c| c.or_limit = Some(limit))
-    }
-
     /// Runs every specification at every limit — on `jobs` worker threads
     /// when configured — elaborating each benchmark once per engine
     /// family.
@@ -969,10 +801,7 @@ impl Batch {
             }
         }
         // One configuration per literal limit. Only the limits themselves
-        // are validated here: the base config either passed its builder
-        // already or was set through the deprecated 0.2 shims, whose
-        // out-of-range values must keep their historical (clamped)
-        // behavior rather than start failing.
+        // are validated here: the base config passed its builder already.
         if self.limits.is_empty() {
             return Err(Error::InvalidConfig {
                 message: "a batch needs at least one literal limit".to_string(),
@@ -1120,15 +949,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_configure() {
-        let shimmed = Synthesis::from_benchmark("dff").literal_limit(3).run().unwrap();
-        let configured = Synthesis::from_benchmark("dff").config(&config_at(3)).run().unwrap();
-        assert_eq!(shimmed.inserted, configured.inserted);
-        assert_eq!(shimmed.si_cost, configured.si_cost);
-    }
-
-    #[test]
     fn unknown_benchmark_is_a_load_error() {
         let err = Synthesis::from_benchmark("no-such-circuit").run().unwrap_err();
         assert!(matches!(err, Error::UnknownBenchmark { ref name } if name == "no-such-circuit"));
@@ -1226,16 +1046,6 @@ mod tests {
         assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
         let err = Batch::over_benchmarks(["half"]).limits(Vec::new()).run().unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_batch_shims_keep_their_clamping_behavior() {
-        // 0.2 silently clamped an or_limit of 1 to 2 in the OR-join; the
-        // deprecated shim must not start failing validation.
-        let rows = Batch::over_benchmarks(["half"]).or_limit(1).verify(false).run().unwrap();
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].reports[0].inserted.is_some());
     }
 
     #[test]

@@ -111,8 +111,6 @@ fn apply_config_field(
             let strategy: ReachStrategy = expect_str(key, value)?.parse()?;
             builder.reach_strategy(strategy)
         }
-        "reach_jobs" => builder.reach_jobs(expect_usize(key, value)?),
-        "synth_jobs" => builder.synth_jobs(expect_usize(key, value)?),
         "materialize_limit" => builder.reach_materialize_limit(expect_usize(key, value)?),
         "memory_budget" => builder.reach_memory_budget(expect_usize(key, value)?),
         "shards" => builder.reach_shards(expect_usize(key, value)?),
@@ -323,6 +321,7 @@ mod tests {
         let base = Config::default();
         for (body, fragment) in [
             (&br#"{"unknown":1,"bench":"half"}"#[..], "unknown field `unknown`"),
+            (br#"{"reach_jobs":2,"bench":"half"}"#, "unknown field `reach_jobs`"),
             (br#"{}"#, "`bench` or `g_source` is required"),
             (br#"{"bench":"a","g_source":"b"}"#, "mutually exclusive"),
             (br#"{"bench":"a","async":true,"stream":true}"#, "mutually exclusive"),

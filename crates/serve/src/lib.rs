@@ -23,7 +23,7 @@
 //!
 //! | Route | Behavior |
 //! |---|---|
-//! | `POST /synthesize` | Runs one mapping flow. Body fields: exactly one of `bench` (embedded benchmark name) or `g_source` (ad-hoc `.g` text); optional `literal_limit`, `or_limit`, `csc_repair`, `verify`, `strategy` (`packed`\|`explicit`\|`symbolic`), `reach_jobs`, `synth_jobs`, `materialize_limit`; optional `async` or `stream` booleans. The `200` body is **byte-identical** to `simap map --json` for the same spec/config. With `"async":true` answers `202 {"job":"jN","status":"queued"}` immediately. With `"stream":true` answers `application/x-ndjson`: one [`simap_core::FlowEvent`] JSON line per observer callback as stages complete, ending with `{"event":"report","report":{...}}` (or `{"event":"error",...}`). |
+//! | `POST /synthesize` | Runs one mapping flow. Body fields: exactly one of `bench` (embedded benchmark name) or `g_source` (ad-hoc `.g` text); optional `literal_limit`, `or_limit`, `csc_repair`, `verify`, `strategy` (`packed`\|`explicit`\|`symbolic`\|`spill`), `materialize_limit`, `memory_budget`, `shards`; optional `async` or `stream` booleans. The `200` body is **byte-identical** to `simap map --json` for the same spec/config. With `"async":true` answers `202 {"job":"jN","status":"queued"}` immediately. With `"stream":true` answers `application/x-ndjson`: one [`simap_core::FlowEvent`] JSON line per observer callback as stages complete, ending with `{"event":"report","report":{...}}` (or `{"event":"error",...}`). |
 //! | `POST /stg` | Brings your own specification: the body is either **raw `.g` text** (post the file unchanged — a spec never opens with `{`, so the first non-whitespace byte disambiguates) or a JSON envelope `{"source":"<.g text>", ...}` accepting the same configuration knobs and `async`/`stream` flags as `/synthesize`. Both shapes run one mapping flow whose `200` body is **byte-identical** to `simap map <file.g> --json`, share one result-cache fingerprint (keyed by the source digest — a repeated spec answers from the cache without enqueueing), and are metered by the full gateway chain. The parser enforces the resource caps documented in `simap_stg::parse` (line length, signal/transition/place/arc counts); a spec that fails to parse is a `422` whose message carries the 1-based line and column. |
 //! | `POST /batch` | Runs many benchmarks through one configuration. Body fields: `names` (array, empty/absent = the whole embedded suite), `limits` (array of literal limits, default `[2]`), the shared configuration fields, `async`. The `200` body is byte-identical to `simap bench run --json`. |
 //! | `GET /jobs/{id}` | Polls an async job: `{"job":"jN","status":"queued"\|"running"\|"done"\|"failed"}` plus `result` (the full response document) when done or `error` when failed. `404` for unknown/evicted/expired ids. |

@@ -30,7 +30,7 @@ pub struct StgAnalysis {
 ///
 /// The token game runs through the same exploration core as
 /// [`crate::reach::elaborate_with`], honoring the configured
-/// [`ReachConfig::strategy`] and [`ReachConfig::jobs`] — so behavioural
+/// [`ReachConfig::strategy`] — so behavioural
 /// observations (safeness, dead transitions, marking counts) and error
 /// semantics are identical to elaboration's by construction.
 ///

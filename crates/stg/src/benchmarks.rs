@@ -384,22 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_shares_one_stg_across_threads() {
-        let registry = BenchmarkRegistry::new();
-        assert!(registry.contains("hazard"));
-        assert!(!registry.contains("bogus"));
-        assert!(registry.get("bogus").is_none());
-        let handles: Vec<Arc<Stg>> = std::thread::scope(|scope| {
-            let workers: Vec<_> =
-                (0..4).map(|_| scope.spawn(|| registry.get("hazard").expect("known"))).collect();
-            workers.into_iter().map(|w| w.join().expect("no panic")).collect()
-        });
-        for pair in handles.windows(2) {
-            assert!(Arc::ptr_eq(&pair[0], &pair[1]), "all threads share one construction");
-        }
-    }
-
-    #[test]
     fn hazard_matches_paper_shape() {
         let sg = elaborate(&benchmark("hazard").unwrap()).unwrap();
         assert_eq!(sg.signal_count(), 4);

@@ -24,8 +24,7 @@
 //! previous manifest (and its generation) intact, and stale generations
 //! are deleted only after the rename. Checkpoints are only taken at BFS
 //! level boundaries — the one moment the frontier read side is fully
-//! consumed — so a snapshot is level-consistent whether the level was
-//! expanded sequentially or on [`ReachConfig::jobs`] workers.
+//! consumed — so a snapshot is level-consistent.
 //!
 //! Resume ([`ReachConfig::resume`]) validates the manifest (magic,
 //! version, checksums, both digests — refusing with a message naming

@@ -30,21 +30,12 @@
 //!   the last snapshot via [`ReachConfig::resume`], producing a graph
 //!   byte-identical to an uninterrupted run.
 //!
-//! With [`ReachConfig::jobs`] > 1 frontier expansion fans out: each
-//! level is read in bounded batches, the fire/hash work runs on scoped
-//! worker threads, and successors are merged in deterministic (source,
-//! transition) order — the exact scheme the packed engine uses — so the
-//! graph, the errors and every checkpoint stay byte-identical at any
-//! fan-out. Checkpoints are only taken at level boundaries, which the
-//! batched workers never straddle, so a snapshot taken mid-parallel-run
-//! is level-consistent by construction.
-//!
 //! What stays in memory regardless of the budget: the per-shard intern
 //! tables and local→global maps (16–24 bytes per distinct state) and
 //! the `O(states + edges)` outputs the caller asked for (BFS parents,
 //! CSR offsets, the final materialized graph). The budget governs the
-//! *working set* — marking storage, frontier, edge buffering, and the
-//! parallel batch buffer — which is what otherwise dwarfs the rest on
+//! *working set* — marking storage, frontier and edge buffering — which
+//! is what otherwise dwarfs the rest on
 //! token-game state explosions.
 
 mod arena;
@@ -75,7 +66,7 @@ pub struct SpillCounters {
     /// when the exploration ends).
     pub files_created: u32,
     /// Peak resident bytes of the budgeted working set: arena page
-    /// caches plus frontier, edge-log and parallel batch buffers. At
+    /// caches plus frontier and edge-log buffers. At
     /// most [`SpillCounters::budget`], up to small per-component floors
     /// (two pages per shard, one record per frontier buffer).
     pub resident_peak: u64,
@@ -155,67 +146,6 @@ fn io_abort(context: &str, e: std::io::Error) -> Abort {
     Abort::Error(ReachError::Spill { detail: format!("{context}: {e}") })
 }
 
-/// One expanded successor produced by a parallel batch worker: the
-/// batch-relative source record and the fired transition; the packed
-/// successor marking and its hash live at the same index of the chunk's
-/// `buf`/`hashes`.
-struct SpillChunk {
-    /// Packed successor markings, `stride` words each, aligned with
-    /// `succs`.
-    buf: Vec<u64>,
-    /// Precomputed [`hash_words`] of each successor (hashing is the
-    /// workers' job; the merge only probes tables).
-    hashes: Vec<u64>,
-    /// (batch-relative source record, transition) in expansion order.
-    succs: Vec<(u32, TransitionId)>,
-    /// The first faulting firing in the chunk, if any: successors of
-    /// earlier (source, transition) pairs are all in `succs`.
-    fault: Option<(u32, FireFault)>,
-}
-
-/// Expands batch records `lo..hi` without touching shared mutable
-/// state; a pure function of the batch slice, safe to run on a scoped
-/// worker thread.
-fn expand_batch_chunk(
-    stg: &Stg,
-    net: &PackedNet,
-    batch: &[u64],
-    rec_words: usize,
-    stride: usize,
-    lo: usize,
-    hi: usize,
-) -> SpillChunk {
-    let mut out = SpillChunk {
-        buf: Vec::with_capacity(stride * 16),
-        hashes: Vec::with_capacity(16),
-        succs: Vec::with_capacity(16),
-        fault: None,
-    };
-    let mut next = vec![0u64; stride];
-    'recs: for b in lo..hi {
-        let rec = &batch[b * rec_words..(b + 1) * rec_words];
-        let (cur, cur_mask) = rec.split_at(stride);
-        for (w, &bits) in cur_mask.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let t = TransitionId(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                if let Some(f) = net.fire(stg, cur, t, &mut next) {
-                    // Everything after this firing would never be
-                    // reached sequentially; record the fault position
-                    // and stop.
-                    out.fault = Some((b as u32, f));
-                    break 'recs;
-                }
-                out.buf.extend_from_slice(&next);
-                out.hashes.push(hash_words(&next));
-                out.succs.push((b as u32, t));
-            }
-        }
-    }
-    out
-}
-
 /// The spill BFS state: sharded arenas, spill frontier, edge log, and
 /// the in-memory outputs — plus everything a checkpoint persists.
 struct SpillExplorer<'a> {
@@ -244,10 +174,6 @@ struct SpillExplorer<'a> {
     /// Sources fully expanded so far (the BFS cursor).
     src: usize,
     safe: bool,
-    /// Parallel batch capacity in records, and the accounted footprint
-    /// of the batch buffer once one was allocated.
-    batch_cap: usize,
-    batch_bytes: u64,
     manifest: Rc<SpillManifest>,
     succ_mask: Vec<u64>,
 }
@@ -278,14 +204,11 @@ impl<'a> SpillExplorer<'a> {
         let budget = config.memory_budget.max(MIN_BUDGET);
         let nshards = config.shards.clamp(1, MAX_SHARDS);
         // Working-set split: half to the sharded arena page caches, a
-        // quarter to the frontier buffers, the rest to the edge log. The
-        // parallel batch buffer borrows half the frontier share.
+        // quarter to the frontier buffers, the rest to the edge log.
         let arena_share = budget / 2;
         let frontier_share = budget / 4;
         let edge_share = budget - arena_share - frontier_share;
         let rec_words = stride + t_words;
-        let jobs = config.jobs.max(1);
-        let batch_cap = (frontier_share / 2 / 8 / rec_words).clamp(2 * jobs, 8192);
 
         let manifest = Rc::new(SpillManifest::create(config.spill_dir.as_deref())?);
         let shards: Vec<Shard> = (0..nshards)
@@ -328,8 +251,6 @@ impl<'a> SpillExplorer<'a> {
             count: 0,
             src: 0,
             safe: true,
-            batch_cap,
-            batch_bytes: 0,
             manifest,
             succ_mask: vec![0u64; t_words],
         };
@@ -402,8 +323,7 @@ impl<'a> SpillExplorer<'a> {
 
     /// Dedups one fired successor through its shard: commit + frontier
     /// push on a miss (deriving the enabled set from the source's mask),
-    /// edge push always. Identical across the sequential and
-    /// merged-parallel paths — this is what makes `jobs` byte-stable.
+    /// edge push always.
     fn absorb(
         &mut self,
         src: usize,
@@ -477,99 +397,12 @@ impl<'a> SpillExplorer<'a> {
     }
 
     /// Expands the sealed level record-by-record, streaming straight
-    /// from the frontier — the `jobs == 1` path, byte-identical to (and
-    /// unchanged from) the pre-parallel engine.
-    fn expand_level_sequential(&mut self, rec: &mut [u64], next: &mut [u64]) -> Result<(), Abort> {
+    /// from the frontier.
+    fn expand_level(&mut self, rec: &mut [u64], next: &mut [u64]) -> Result<(), Abort> {
         while self.frontier.next(rec).map_err(|e| io_abort("frontier read", e))? {
             self.expand_record(rec, next)?;
         }
         Ok(())
-    }
-
-    /// Expands the sealed level in bounded batches fanned out over
-    /// `jobs` scoped workers, merging successors in deterministic
-    /// (source, transition) order.
-    fn expand_level_parallel(
-        &mut self,
-        jobs: usize,
-        rec: &mut [u64],
-        next: &mut [u64],
-    ) -> Result<(), Abort> {
-        let rec_words = self.rec_words;
-        let stride = self.stride;
-        let mut batch: Vec<u64> = Vec::with_capacity(self.batch_cap * rec_words);
-        self.batch_bytes = self.batch_bytes.max((self.batch_cap * rec_words * 8) as u64);
-        loop {
-            batch.clear();
-            while batch.len() < self.batch_cap * rec_words {
-                if !self.frontier.next(rec).map_err(|e| io_abort("frontier read", e))? {
-                    break;
-                }
-                batch.extend_from_slice(rec);
-            }
-            let n = batch.len() / rec_words;
-            if n == 0 {
-                return Ok(());
-            }
-            if n < 2 * jobs {
-                // Too small to be worth a fan-out: finish the tail on
-                // the sequential path (same bytes either way).
-                for b in 0..n {
-                    let owned: Vec<u64> = batch[b * rec_words..(b + 1) * rec_words].to_vec();
-                    self.expand_record(&owned, next)?;
-                }
-                continue;
-            }
-            let chunk_len = n.div_ceil(jobs);
-            let chunks: Vec<SpillChunk> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for c in 0..jobs {
-                    let lo = c * chunk_len;
-                    let hi = ((c + 1) * chunk_len).min(n);
-                    if lo >= hi {
-                        break;
-                    }
-                    let stg = self.stg;
-                    let net = &self.net;
-                    let batch = &batch[..];
-                    handles.push(scope.spawn(move || {
-                        expand_batch_chunk(stg, net, batch, rec_words, stride, lo, hi)
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().expect("spill worker panicked")).collect()
-            });
-            // Deterministic merge: chunks ascend over the batch, succs
-            // ascend within each chunk, so absorption order is exactly
-            // the sequential (source, transition) order.
-            let base = self.src;
-            for chunk in chunks {
-                for (i, &(rel, t)) in chunk.succs.iter().enumerate() {
-                    let s = base + rel as usize;
-                    self.fired[t.0] = true;
-                    // Keep the CSR offsets in lockstep: one entry per
-                    // source, including barren ones.
-                    while self.edge_off.len() <= s {
-                        self.edge_off.push(self.edges.len());
-                    }
-                    let cur_mask =
-                        &batch[rel as usize * rec_words + stride..(rel as usize + 1) * rec_words];
-                    self.absorb(
-                        s,
-                        t,
-                        cur_mask,
-                        &chunk.buf[i * stride..(i + 1) * stride],
-                        chunk.hashes[i],
-                    )?;
-                }
-                if let Some((rel, f)) = chunk.fault {
-                    return Err(self.fault_abort(f, base + rel as usize));
-                }
-            }
-            while self.edge_off.len() < base + n {
-                self.edge_off.push(self.edges.len());
-            }
-            self.src = base + n;
-        }
     }
 
     /// Atomically snapshots the full exploration state — only ever
@@ -605,8 +438,7 @@ impl<'a> SpillExplorer<'a> {
 
         let resident_peak = self.shards.iter().map(Shard::arena_peak_bytes).sum::<u64>()
             + self.frontier.peak_bytes()
-            + self.edges.peak_bytes()
-            + self.batch_bytes;
+            + self.edges.peak_bytes();
         let table_bytes = self.shards.iter().map(Shard::table_bytes).sum::<u64>();
         let mut edge_arcs: Vec<(Event, StateId)> = Vec::with_capacity(self.edges.len());
         self.edges
@@ -666,20 +498,14 @@ fn explore_spill_at(
         }),
         _ => None,
     };
-    let jobs = config.jobs.max(1);
     let mut level = resume_level;
     let mut rec = vec![0u64; ex.rec_words];
     let mut next = vec![0u64; ex.stride];
     loop {
-        let level_records = ex.frontier.begin_level();
-        if level_records == 0 {
+        if ex.frontier.begin_level() == 0 {
             break;
         }
-        if jobs == 1 || level_records < 2 * jobs as u64 {
-            ex.expand_level_sequential(&mut rec, &mut next)?;
-        } else {
-            ex.expand_level_parallel(jobs, &mut rec, &mut next)?;
-        }
+        ex.expand_level(&mut rec, &mut next)?;
         level += 1;
         if let Some(ctx) = ckpt.as_mut() {
             if level.is_multiple_of(config.checkpoint_every as u64) {
@@ -761,7 +587,7 @@ d- a+
         let mut next = vec![0u64; ex.stride];
         for level in 1..=levels {
             assert!(ex.frontier.begin_level() > 0, "net exhausted before level {level}");
-            ex.expand_level_sequential(&mut rec, &mut next).ok().expect("expand");
+            ex.expand_level(&mut rec, &mut next).ok().expect("expand");
             ex.write_checkpoint(&mut ctx, level).ok().expect("checkpoint");
         }
         assert_eq!(ctx.written, levels as u32);
@@ -792,13 +618,10 @@ d- a+
     }
 
     #[test]
-    fn parallel_jobs_are_byte_identical() {
+    fn spill_exploration_matches_packed() {
         let stg = parse_g(FORK_JOIN).unwrap();
-        let base = explore_spill(&stg, &spill_config()).unwrap();
-        for jobs in [2, 4] {
-            let parallel = explore_spill(&stg, &ReachConfig { jobs, ..spill_config() }).unwrap();
-            assert_same_exploration(&base, &parallel);
-        }
+        let packed = crate::reach::explore_packed(&stg, &ReachConfig::default()).unwrap();
+        assert_same_exploration(&packed, &explore_spill(&stg, &spill_config()).unwrap());
     }
 
     #[test]

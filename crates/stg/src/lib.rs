@@ -24,8 +24,7 @@
 //! * [`ReachStrategy::Packed`] (default) — markings are bit-packed `u64`
 //!   words in one contiguous arena, interned through a hash-to-index
 //!   table, with per-transition enable/fire masks and incrementally
-//!   maintained enabled sets; [`ReachConfig::jobs`] adds parallel
-//!   frontier expansion. See [`reach`] for the full architecture.
+//!   maintained enabled sets. See [`reach`] for the full architecture.
 //! * [`ReachStrategy::Explicit`] — the legacy explicit BFS
 //!   (`Vec<u8>` markings, `HashMap` interning). Keep it in mind whenever
 //!   you need an independent oracle: it shares almost no code with the
@@ -51,13 +50,9 @@
 //!   symbolic engine's [`ReachConfig::materialize_limit`]; expect
 //!   scratch-disk usage in [`ReachConfig::spill_dir`] on the order of
 //!   `states × (marking + enabled-mask bytes)` plus two words per edge,
-//!   all removed when the run ends. [`ReachConfig::jobs`] parallelizes
-//!   spill frontier expansion exactly as it does the packed engine —
-//!   workers fire a batch of frontier records, results merge in
-//!   (source, transition) order — so the graph stays byte-identical at
-//!   any fan-out. Knobs: [`ReachConfig::memory_budget`] (default
-//!   256 MiB), [`ReachConfig::spill_dir`], [`ReachConfig::shards`],
-//!   [`ReachConfig::jobs`].
+//!   all removed when the run ends. Knobs: [`ReachConfig::memory_budget`]
+//!   (default 256 MiB), [`ReachConfig::spill_dir`],
+//!   [`ReachConfig::shards`].
 //!
 //! ## Long-running elaborations
 //!
@@ -75,16 +70,15 @@
 //! from the recorded level; the finished graph is byte-identical to an
 //! uninterrupted run, and on success the checkpoint is cleaned away.
 //! Dense cadences shrink the re-exploration window after a crash but
-//! pay a write per cadence; the checkpoint write overhead is tracked by
-//! `bench run --record`. Only `max_states`, `max_tokens` and `shards`
-//! are pinned by the config digest — `jobs` and `memory_budget` may
-//! change across a resume because neither affects the result bytes.
-//! Checkpoints are cut at level boundaries only, so they stay
-//! level-consistent under any frontier fan-out.
+//! pay a write per cadence. Only `max_states`, `max_tokens` and
+//! `shards` are pinned by the config digest — `memory_budget` may
+//! change across a resume because it does not affect the result bytes.
+//! Checkpoints are cut at level boundaries only, so they are always
+//! level-consistent.
 //!
 //! The enumerative strategies explore in the same BFS order, so graphs,
 //! state numbering and [`ReachError`] values never depend on the engine
-//! or on the number of worker threads — and symbolic materialization
+//! — and symbolic materialization
 //! reuses the packed core, so the guarantee extends to all three for
 //! 1-safe nets. The one divergence is the symbolic scope boundary:
 //! nets that are not 1-safe fail fast with [`ReachError::NotSafe`]

@@ -20,11 +20,6 @@
 //!   `enabled()` into word-wise AND/ADD/compare (a SWAR all-fields-nonzero
 //!   test) and firing into one wrapping subtract/add per word — no byte
 //!   loops over places.
-//! * **Parallel frontier expansion.** With [`ReachConfig::jobs`] > 1 the
-//!   BFS expands each frontier level on a pool of scoped threads and
-//!   merges the successor lists in deterministic (source, transition)
-//!   order, so the resulting graph — and any error — is byte-identical
-//!   to the sequential run.
 //!
 //! The legacy explicit BFS survives as [`ReachStrategy::Explicit`]: one
 //! `Vec<u8>` per marking, `HashMap` interning. It is deliberately simple
@@ -62,7 +57,7 @@ pub use crate::extmem::SpillCounters;
 pub enum ReachStrategy {
     /// Bit-packed markings in a contiguous arena, interned through a
     /// hash-to-index table, with mask-compiled enable/fire operations
-    /// (the default; supports [`ReachConfig::jobs`]).
+    /// (the default).
     #[default]
     Packed,
     /// The legacy explicit BFS (`Vec<u8>` markings, `HashMap`
@@ -120,11 +115,6 @@ pub struct ReachConfig {
     pub max_tokens: u8,
     /// The exploration engine (packed arena vs explicit oracle).
     pub strategy: ReachStrategy,
-    /// Worker threads for frontier expansion (packed and spill
-    /// strategies; `0` and `1` both mean sequential). Whatever the
-    /// value, the resulting graph is byte-identical to a sequential
-    /// run.
-    pub jobs: usize,
     /// Largest symbolically counted state space the symbolic strategy
     /// will materialize into an explicit [`StateGraph`]; above it,
     /// elaboration fails with [`ReachError::MaterializeLimit`] while
@@ -174,7 +164,6 @@ impl Default for ReachConfig {
             max_states: 500_000,
             max_tokens: 7,
             strategy: ReachStrategy::default(),
-            jobs: 1,
             materialize_limit: 1_000_000,
             memory_budget: 256 * 1024 * 1024,
             spill_dir: None,
@@ -333,7 +322,7 @@ pub fn elaborate_with(stg: &Stg, config: &ReachConfig) -> Result<StateGraph, Rea
 ///
 /// Both strategies explore markings in identical BFS order, so the
 /// resulting graph (state numbering, codes, arcs) and any error are the
-/// same whatever the [`ReachConfig::strategy`] and [`ReachConfig::jobs`].
+/// same whatever the [`ReachConfig::strategy`].
 ///
 /// # Errors
 /// See [`ReachError`].
@@ -903,26 +892,6 @@ impl InternTable {
     }
 }
 
-/// One expanded successor produced by a frontier worker: the source
-/// marking (arena index), the transition, and where the packed successor
-/// marking lives in the worker's output buffer.
-struct SuccRef {
-    src: usize,
-    t: TransitionId,
-}
-
-/// The output of expanding one contiguous chunk of the frontier.
-struct ChunkOut {
-    /// Packed successor markings, `stride` words each, aligned with
-    /// `succs`.
-    buf: Vec<u64>,
-    /// Successor metadata in (source, transition) order.
-    succs: Vec<SuccRef>,
-    /// The first faulting firing in the chunk, if any: successors of
-    /// earlier (source, transition) pairs are all in `succs`.
-    fault: Option<(usize, FireFault)>,
-}
-
 /// Why one packed exploration attempt stopped.
 pub(crate) enum Abort {
     /// A real reachability error — propagate it.
@@ -1028,8 +997,7 @@ impl<'a> PackedExplorer<'a> {
 
     /// Interns one fired successor: dedup through the table, append to
     /// the arena on a miss (deriving its enabled set from the source's),
-    /// record the edge. Identical across the sequential and
-    /// merged-parallel paths — this is what makes `jobs` byte-stable.
+    /// record the edge.
     fn intern(&mut self, src: usize, t: TransitionId, next: &[u64]) -> Result<(), Abort> {
         let candidate = self.count();
         let dst = match self.table.lookup_or_reserve(&self.arena, self.stride, next, candidate) {
@@ -1067,8 +1035,8 @@ impl<'a> PackedExplorer<'a> {
         Ok(())
     }
 
-    /// Expands frontier states `lo..hi` sequentially.
-    fn expand_sequential(&mut self, lo: usize, hi: usize) -> Result<(), Abort> {
+    /// Expands the frontier states `lo..hi` of one BFS level.
+    fn expand_level(&mut self, lo: usize, hi: usize) -> Result<(), Abort> {
         let stride = self.stride;
         let mut cur = vec![0u64; stride];
         let mut cur_en = vec![0u64; self.t_words];
@@ -1091,51 +1059,6 @@ impl<'a> PackedExplorer<'a> {
                     self.intern(src, t, &next)?;
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Expands one level on `jobs` scoped workers and merges the chunks
-    /// in deterministic (source, transition) order, so state numbering,
-    /// edges and errors are byte-identical to the sequential run.
-    fn expand_parallel(&mut self, lo: usize, hi: usize, jobs: usize) -> Result<(), Abort> {
-        let chunk_len = (hi - lo).div_ceil(jobs);
-        let stride = self.stride;
-        let chunks: Vec<ChunkOut> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for c in 0..jobs {
-                let chunk_lo = lo + c * chunk_len;
-                let chunk_hi = (chunk_lo + chunk_len).min(hi);
-                if chunk_lo >= chunk_hi {
-                    break;
-                }
-                let stg = self.stg;
-                let net = &self.net;
-                let arena = &self.arena[..];
-                let enabled = &self.enabled[..];
-                let t_words = self.t_words;
-                handles.push(scope.spawn(move || {
-                    expand_chunk(stg, net, arena, enabled, stride, t_words, chunk_lo, chunk_hi)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        for chunk in chunks {
-            for (i, succ) in chunk.succs.iter().enumerate() {
-                self.fired[succ.t.0] = true;
-                // Keep the CSR offsets in lockstep: one entry per source,
-                // including barren ones the chunks skipped over.
-                while self.edge_off.len() <= succ.src {
-                    self.edge_off.push(self.edge_arcs.len());
-                }
-                self.intern(succ.src, succ.t, &chunk.buf[i * stride..(i + 1) * stride])?;
-            }
-            if let Some((src, f)) = chunk.fault {
-                return Err(self.fault(f, src));
-            }
-        }
-        while self.edge_off.len() < hi {
-            self.edge_off.push(self.edge_arcs.len());
         }
         Ok(())
     }
@@ -1165,15 +1088,10 @@ pub(crate) fn explore_packed(stg: &Stg, config: &ReachConfig) -> Result<Explorat
 
 fn explore_packed_at(stg: &Stg, config: &ReachConfig, width: u32) -> Result<Exploration, Abort> {
     let mut explorer = PackedExplorer::new(stg, config, width);
-    let jobs = config.jobs.max(1);
     let mut level_start = 0usize;
     while level_start < explorer.count() {
         let level_end = explorer.count();
-        if jobs == 1 || level_end - level_start < 2 * jobs {
-            explorer.expand_sequential(level_start, level_end)?;
-        } else {
-            explorer.expand_parallel(level_start, level_end, jobs)?;
-        }
+        explorer.expand_level(level_start, level_end)?;
         level_start = level_end;
     }
     explorer.edge_off.push(explorer.edge_arcs.len());
@@ -1186,43 +1104,6 @@ fn explore_packed_at(stg: &Stg, config: &ReachConfig, width: u32) -> Result<Expl
         safe: explorer.safe,
         spill: None,
     })
-}
-
-/// Expands frontier states `lo..hi` (arena indices) without touching
-/// shared mutable state; pure function of the arena prefixes.
-#[allow(clippy::too_many_arguments)]
-fn expand_chunk(
-    stg: &Stg,
-    net: &PackedNet,
-    arena: &[u64],
-    enabled: &[u64],
-    stride: usize,
-    t_words: usize,
-    lo: usize,
-    hi: usize,
-) -> ChunkOut {
-    let mut out = ChunkOut { buf: Vec::with_capacity(stride * 16), succs: Vec::new(), fault: None };
-    let mut next = vec![0u64; stride];
-    'srcs: for src in lo..hi {
-        let m = &arena[src * stride..(src + 1) * stride];
-        let en = &enabled[src * t_words..(src + 1) * t_words];
-        for (w, &bits) in en.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let t = TransitionId(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                if let Some(f) = net.fire(stg, m, t, &mut next) {
-                    // Everything after this firing would never be reached
-                    // sequentially; record the fault position and stop.
-                    out.fault = Some((src, f));
-                    break 'srcs;
-                }
-                out.buf.extend_from_slice(&next);
-                out.succs.push(SuccRef { src, t });
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1437,20 +1318,6 @@ a- a+
             assert_eq!(stats.edges, 4);
             assert_eq!(stats.strategy, config.strategy);
         }
-    }
-
-    #[test]
-    fn parallel_frontier_matches_sequential() {
-        let stg = crate::benchmarks::benchmark("vbe10b").unwrap();
-        let sequential = elaborate(&stg).unwrap();
-        let parallel =
-            elaborate_with(&stg, &ReachConfig { jobs: 4, ..Default::default() }).unwrap();
-        assert_eq!(sequential.state_count(), parallel.state_count());
-        for s in sequential.states() {
-            assert_eq!(sequential.code(s), parallel.code(s));
-            assert_eq!(sequential.succ(s), parallel.succ(s));
-        }
-        assert_eq!(sequential.initial(), parallel.initial());
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! simap gen [options]                 emit seeded `.g` corpus specs
 //! simap serve [options]               host the flow as an HTTP service
 //!
-//! check options:
+//! engine options (check, map and bench run):
 //!       --strategy <s>   reachability engine: packed (default) | explicit | symbolic | spill
-//!       --reach-jobs <n> frontier-expansion threads (packed/spill; same output)
 //!       --materialize-limit <n>  symbolic: largest state space built explicitly
 //!       --memory-budget <b>  spill: resident working-set cap (e.g. 256MiB)
 //!       --spill-dir <d>  spill: scratch directory (default: system temp)
@@ -19,7 +18,8 @@
 //!       --checkpoint-every <n>  spill: commit a durable checkpoint every n BFS levels
 //!       --checkpoint-dir <d>    spill: directory the checkpoints are committed to
 //!       --resume <d>     spill: continue from the last checkpoint in <d>
-//!       --synth-jobs <n> per-signal synthesis threads (same output)
+//!
+//! check options:
 //!       --bench <name>   use an embedded benchmark instead of a file
 //!
 //! map options:
@@ -27,16 +27,6 @@
 //!       --csc-repair     repair CSC violations by state-signal insertion
 //!       --no-verify      skip the final speed-independence verification
 //!       --or-limit <n>   split second-level OR gates to <= n inputs
-//!       --strategy <s>   reachability engine: packed (default) | explicit | symbolic | spill
-//!       --reach-jobs <n> frontier-expansion threads (packed/spill; same output)
-//!       --synth-jobs <n> per-signal synthesis threads (same output)
-//!       --materialize-limit <n>  symbolic: largest state space built explicitly
-//!       --memory-budget <b>  spill: resident working-set cap (e.g. 256MiB)
-//!       --spill-dir <d>  spill: scratch directory (default: system temp)
-//!       --shards <n>     spill: hash partitions of the intern table
-//!       --checkpoint-every <n>  spill: commit a durable checkpoint every n BFS levels
-//!       --checkpoint-dir <d>    spill: directory the checkpoints are committed to
-//!       --resume <d>     spill: continue from the last checkpoint in <d>
 //!   -v, --verbose        narrate stages and insertions to stderr
 //!       --json           print the report as JSON instead of the dossier
 //!       --verilog <f>    write the mapped netlist as structural Verilog
@@ -46,26 +36,10 @@
 //! bench run options:
 //!       --limits <a,b>   literal limits (default 2)
 //!   -j, --jobs <n>       worker threads (default 1; results identical)
-//!       --strategy <s>   reachability engine: packed (default) | explicit | symbolic | spill
-//!       --reach-jobs <n> frontier-expansion threads (packed/spill; same output)
-//!       --synth-jobs <n> per-signal synthesis threads (same output)
-//!       --materialize-limit <n>  symbolic: largest state space built explicitly
-//!       --memory-budget <b>  spill: resident working-set cap (e.g. 256MiB)
-//!       --spill-dir <d>  spill: scratch directory (default: system temp)
-//!       --shards <n>     spill: hash partitions of the intern table
-//!       --checkpoint-every <n>  spill: commit a durable checkpoint every n BFS levels
-//!       --checkpoint-dir <d>    spill: directory the checkpoints are committed to
-//!       --resume <d>     spill: continue from the last checkpoint in <d>
 //!       --csc-repair     repair CSC violations by state-signal insertion
 //!       --no-verify      skip speed-independence verification
-//!       --record <f>     also write a machine-readable snapshot (JSON)
 //!       --json|--csv     emit JSON / CSV instead of the markdown table
 //!   -v, --verbose        report elaboration-cache statistics to stderr
-//!
-//! bench compare options:
-//!       simap bench compare <old.json> <new.json> [--max-regress <pct>]
-//!       exits 1 when any benchmark's states/s regressed by more than
-//!       <pct> percent (default 25) beyond the noise floor
 //!
 //! gen options:
 //!       --seed <n>       corpus seed (default 0); a fixed seed gives
@@ -133,6 +107,7 @@ fn run() -> Result<ExitCode, Box<dyn Error>> {
 }
 
 /// One accepted flag of a subcommand.
+#[derive(Clone, Copy)]
 struct FlagSpec {
     /// Canonical name (`--limit`).
     name: &'static str,
@@ -231,28 +206,32 @@ fn parse_bytes(spec: &str) -> Result<usize, String> {
         "g" | "gb" | "gib" => 30,
         other => return Err(format!("bad byte size `{spec}`: unknown suffix `{other}`")),
     };
-    value.checked_shl(shift).ok_or_else(|| format!("byte size `{spec}` overflows"))
+    value.checked_mul(1 << shift).ok_or_else(|| format!("byte size `{spec}` overflows"))
 }
 
-/// Applies the shared engine flags (`--strategy`, `--reach-jobs`,
-/// `--materialize-limit`, the spill knobs `--memory-budget`,
-/// `--spill-dir`, `--shards`, the checkpoint knobs
-/// `--checkpoint-every`, `--checkpoint-dir`, `--resume`, and the
-/// per-signal synthesis fan-out `--synth-jobs`) to a configuration
-/// builder. `--resume` implies the spill strategy (and refuses an
-/// explicit conflicting `--strategy`).
+/// The engine flags `check`, `map` and `bench run` all accept; each
+/// subcommand's flag table extends this one, and [`reach_flags`] applies
+/// them.
+const ENGINE_FLAGS: &[FlagSpec] = &[
+    valued("--strategy"),
+    valued("--materialize-limit"),
+    valued("--memory-budget"),
+    valued("--spill-dir"),
+    valued("--shards"),
+    valued("--checkpoint-every"),
+    valued("--checkpoint-dir"),
+    valued("--resume"),
+];
+
+/// Applies the [`ENGINE_FLAGS`] to a configuration builder. `--resume`
+/// implies the spill strategy (and refuses an explicit conflicting
+/// `--strategy`).
 fn reach_flags(
     parsed: &Parsed,
     mut builder: simap::ConfigBuilder,
 ) -> Result<simap::ConfigBuilder, Box<dyn Error>> {
     if let Some(strategy) = parsed.value("--strategy") {
         builder = builder.reach_strategy(strategy.parse::<simap::ReachStrategy>()?);
-    }
-    if let Some(jobs) = parsed.value("--reach-jobs") {
-        builder = builder.reach_jobs(jobs.parse()?);
-    }
-    if let Some(jobs) = parsed.value("--synth-jobs") {
-        builder = builder.synth_jobs(jobs.parse()?);
     }
     if let Some(limit) = parsed.value("--materialize-limit") {
         builder = builder.reach_materialize_limit(limit.parse()?);
@@ -286,22 +265,7 @@ fn reach_flags(
 }
 
 fn check(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
-    let parsed = parse_flags(
-        args,
-        &[
-            valued("--bench"),
-            valued("--strategy"),
-            valued("--reach-jobs"),
-            valued("--synth-jobs"),
-            valued("--materialize-limit"),
-            valued("--memory-budget"),
-            valued("--spill-dir"),
-            valued("--shards"),
-            valued("--checkpoint-every"),
-            valued("--checkpoint-dir"),
-            valued("--resume"),
-        ],
-    )?;
+    let parsed = parse_flags(args, &[ENGINE_FLAGS, &[valued("--bench")]].concat())?;
     let config = reach_flags(&parsed, Config::builder())?.build()?;
     let elaborated = synthesis(&parsed)?.config(&config).elaborate()?;
     let sg = elaborated.state_graph();
@@ -341,26 +305,20 @@ fn map(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let parsed = parse_flags(
         args,
         &[
-            aliased(valued("--limit"), "-l"),
-            valued("--or-limit"),
-            valued("--verilog"),
-            valued("--dot"),
-            valued("--bench"),
-            valued("--strategy"),
-            valued("--reach-jobs"),
-            valued("--synth-jobs"),
-            valued("--materialize-limit"),
-            valued("--memory-budget"),
-            valued("--spill-dir"),
-            valued("--shards"),
-            valued("--checkpoint-every"),
-            valued("--checkpoint-dir"),
-            valued("--resume"),
-            flag("--csc-repair"),
-            flag("--no-verify"),
-            flag("--json"),
-            aliased(flag("--verbose"), "-v"),
-        ],
+            ENGINE_FLAGS,
+            &[
+                aliased(valued("--limit"), "-l"),
+                valued("--or-limit"),
+                valued("--verilog"),
+                valued("--dot"),
+                valued("--bench"),
+                flag("--csc-repair"),
+                flag("--no-verify"),
+                flag("--json"),
+                aliased(flag("--verbose"), "-v"),
+            ],
+        ]
+        .concat(),
     )?;
 
     let mut builder = reach_flags(
@@ -440,9 +398,8 @@ fn bench(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             Ok(ExitCode::SUCCESS)
         }
         Some("run") => bench_run(&args[1..]),
-        Some("compare") => bench_compare(&args[1..]),
         _ => {
-            eprintln!("usage: simap bench <list|run|compare> ...");
+            eprintln!("usage: simap bench <list|run> ...");
             Ok(ExitCode::FAILURE)
         }
     }
@@ -482,515 +439,22 @@ fn gen(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// One HTTP/1.1 request against the in-process snapshot server.
-fn bench_http(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> Result<(u16, String), Box<dyn Error>> {
-    use std::io::{Read as _, Write as _};
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let status: u16 = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("no status line in {response:?}"))?;
-    let body = response.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Ok((status, body))
-}
-
-/// Measures an in-process `simap serve` instance for the snapshot's
-/// `serve` section: one timed cold pass over the benchmarks fills the
-/// result cache and the stage histograms, then a timed warm pass (every
-/// request a cache hit) yields the gateway's warm-cache throughput —
-/// the cold-vs-warm throughput ratio is recorded as `warm_speedup`.
-/// Per-stage latency percentiles are read back from the very `/metrics`
-/// histograms operators would scrape: a percentile is the upper bound
-/// of the first power-of-two bucket whose cumulative count reaches it.
-fn serve_snapshot(names: &[String]) -> Result<String, Box<dyn Error>> {
-    use std::fmt::Write as _;
-    let cache_dir = std::env::temp_dir().join(format!("simap-bench-cache-{}", std::process::id()));
-    let server = simap::serve::Server::bind(simap::serve::ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        jobs: 2,
-        cache_dir: Some(cache_dir.clone()),
-        ..simap::serve::ServeConfig::default()
-    })?;
-    let handle = server.handle();
-    let addr = server.local_addr();
-    let join = std::thread::spawn(move || server.run());
-
-    let result = (|| -> Result<String, Box<dyn Error>> {
-        let cold_start = std::time::Instant::now();
-        for name in names {
-            let body = format!("{{\"bench\":\"{name}\"}}");
-            let (status, response) = bench_http(addr, "POST", "/synthesize", &body)?;
-            if status != 200 {
-                return Err(format!("cold /synthesize for `{name}`: {status} {response}").into());
-            }
-        }
-        let cold_requests = names.len();
-        let cold_rps = cold_requests as f64 / cold_start.elapsed().as_secs_f64().max(1e-9);
-        const WARM_ROUNDS: usize = 5;
-        let start = std::time::Instant::now();
-        for _ in 0..WARM_ROUNDS {
-            for name in names {
-                let body = format!("{{\"bench\":\"{name}\"}}");
-                let (status, _) = bench_http(addr, "POST", "/synthesize", &body)?;
-                if status != 200 {
-                    return Err(format!("warm /synthesize for `{name}`: {status}").into());
-                }
-            }
-        }
-        let warm_requests = WARM_ROUNDS * names.len();
-        let warm_rps = warm_requests as f64 / start.elapsed().as_secs_f64().max(1e-9);
-
-        let (status, metrics) = bench_http(addr, "GET", "/metrics", "")?;
-        if status != 200 {
-            return Err(format!("/metrics: {status}").into());
-        }
-        let doc = simap::core::json::parse(metrics.trim_end())?;
-        let hits = doc
-            .get("gateway")
-            .and_then(|g| g.get("rescache"))
-            .and_then(|c| c.get("hits"))
-            .and_then(simap::core::json::Json::as_usize)
-            .unwrap_or(0);
-        let mut out = format!(
-            "{{\"cold_requests\":{cold_requests},\"cold_rps\":{cold_rps:.1},\
-             \"warm_requests\":{warm_requests},\"warm_cache_hits\":{hits},\
-             \"warm_rps\":{warm_rps:.1},\"warm_speedup\":{:.1},\
-             \"stage_percentiles_us\":{{",
-            warm_rps / cold_rps.max(1e-9)
-        );
-        let stages = doc.get("stage_latency_us").ok_or("metrics has no stage_latency_us")?;
-        let mut first = true;
-        for stage in ["configure", "load", "elaborate", "covers", "decompose", "map", "verify"] {
-            let Some(hist) = stages.get(stage) else { continue };
-            let buckets: Vec<(u64, u64)> = hist
-                .get("histogram")
-                .and_then(|h| h.as_array())
-                .map(|rows| {
-                    rows.iter()
-                        .filter_map(|row| {
-                            let pair = row.as_array()?;
-                            let bound = pair.first()?.as_usize()? as u64;
-                            let count = pair.get(1)?.as_usize()? as u64;
-                            Some((bound, count))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            let total: u64 = buckets.iter().map(|(_, n)| n).sum();
-            if total == 0 {
-                continue;
-            }
-            let percentile = |q: f64| -> u64 {
-                let target = (q * total as f64).ceil().max(1.0) as u64;
-                let mut seen = 0;
-                for &(bound, count) in &buckets {
-                    seen += count;
-                    if seen >= target {
-                        return bound;
-                    }
-                }
-                buckets.last().map_or(0, |&(bound, _)| bound)
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{stage}\":{{\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                percentile(0.50),
-                percentile(0.90),
-                percentile(0.99)
-            );
-        }
-        out.push_str("}}");
-        Ok(out)
-    })();
-
-    handle.shutdown();
-    let _ = join.join();
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    result
-}
-
-/// Records a machine-readable performance snapshot to `path`: for each
-/// benchmark, the state/arc counts plus elaboration wall-clock per
-/// reachability strategy and the full mapping flow's wall-clock, then
-/// the spill-engine measurements of [`spill_snapshot`], the fan-out
-/// measurements of [`synthesis_snapshot`], the batch engine's
-/// elaboration-cache statistics, and the gateway measurements of
-/// [`serve_snapshot`]. The schema is stable so
-/// snapshots from different commits diff cleanly (`simap bench
-/// compare`); the timings themselves are machine- and load-dependent.
-fn record_snapshot(
-    path: &str,
-    names: &[String],
-    config: &Config,
-    cache: simap::CacheStats,
-) -> Result<(), Box<dyn Error>> {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-    let strategies = [
-        simap::ReachStrategy::Explicit,
-        simap::ReachStrategy::Packed,
-        simap::ReachStrategy::Symbolic,
-        simap::ReachStrategy::Spill,
-    ];
-    let mut out = String::from("{\"version\":1,\"benchmarks\":[");
-    for (i, name) in names.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut states = 0;
-        let mut arcs = 0;
-        let _ = write!(out, "{{\"name\":\"{name}\",\"elaborate_us\":{{");
-        for (j, strategy) in strategies.iter().enumerate() {
-            let config = config.to_builder().reach_strategy(*strategy).build()?;
-            let start = Instant::now();
-            let elaborated = Synthesis::from_benchmark(name).config(&config).elaborate()?;
-            let elapsed = start.elapsed().as_micros();
-            let sg = elaborated.state_graph();
-            states = sg.state_count();
-            arcs = sg.arc_count();
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{strategy}\":{elapsed}");
-        }
-        let start = Instant::now();
-        let _ = Synthesis::from_benchmark(name)
-            .config(config)
-            .elaborate()?
-            .covers()?
-            .decompose()?
-            .map();
-        let map_us = start.elapsed().as_micros();
-        let _ = write!(out, "}},\"map_us\":{map_us},\"states\":{states},\"arcs\":{arcs}}}");
-    }
-    let _ = write!(out, "],\"spill\":{}", spill_snapshot(names, config)?);
-    let _ = write!(out, ",\"synthesis\":{}", synthesis_snapshot(names, config)?);
-    let _ = write!(
-        out,
-        ",\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"evicted\":{}}}",
-        cache.hits, cache.misses, cache.entries, cache.evicted
-    );
-    let _ = writeln!(out, ",\"serve\":{}}}", serve_snapshot(names)?);
-    std::fs::write(path, out)?;
-    Ok(())
-}
-
-/// Measures the snapshot's `spill` section: per benchmark, the
-/// external-memory engine's frontier-expansion wall-clock at
-/// `reach jobs = 1` versus the recorded fan-out (`--reach-jobs`, floor
-/// 4), plus the same single-job run writing a checkpoint at every BFS
-/// level — comparing `checkpoint_us` against `frontier_us.j1` isolates
-/// the checkpoint write overhead at the densest possible cadence.
-fn spill_snapshot(names: &[String], config: &Config) -> Result<String, Box<dyn Error>> {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-    let fanout = config.reach_config().jobs.max(4);
-    let ckpt_dir = std::env::temp_dir().join(format!("simap-bench-ckpt-{}", std::process::id()));
-    let mut out = format!("{{\"jobs\":{fanout},\"benchmarks\":[");
-    for (i, name) in names.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let timed = |jobs: usize, checkpoint_every: usize| -> Result<u128, Box<dyn Error>> {
-            let mut builder =
-                config.to_builder().reach_strategy(simap::ReachStrategy::Spill).reach_jobs(jobs);
-            if checkpoint_every > 0 {
-                builder = builder
-                    .reach_checkpoint_every(checkpoint_every)
-                    .reach_checkpoint_dir(Some(ckpt_dir.clone()));
-            }
-            let config = builder.build()?;
-            let start = Instant::now();
-            let _ = Synthesis::from_benchmark(name).config(&config).elaborate()?;
-            Ok(start.elapsed().as_micros())
-        };
-        let j1 = timed(1, 0)?;
-        let jn = timed(fanout, 0)?;
-        let checkpoint_us = timed(1, 1)?;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"frontier_us\":{{\"j1\":{j1},\"jn\":{jn}}},\
-             \"checkpoint_us\":{checkpoint_us}}}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    out.push_str("]}");
-    Ok(out)
-}
-
-/// Measures the snapshot's `synthesis` section: per benchmark, the
-/// wall-clock of the Covers/Decompose/Map stages at `synth_jobs = 1`
-/// versus the recorded fan-out (`--synth-jobs`, floor 4), verifying on
-/// the way that both runs produce byte-identical JSON reports. The
-/// section closes with the BDD manager counters of a representative
-/// symbolic workload — every final cover of the suite built into one
-/// manager under a garbage-collection watermark, then sifted — so node
-/// pressure, GC activity and reordering effort are tracked per commit.
-fn synthesis_snapshot(names: &[String], config: &Config) -> Result<String, Box<dyn Error>> {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-    let fanout = config.synth_jobs().max(4);
-    let mut out = format!("{{\"jobs\":{fanout},\"benchmarks\":[");
-    let mut suite_covers: Vec<simap::boolean::Cover> = Vec::new();
-    for (i, name) in names.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let timed = |jobs: usize| -> Result<
-            (u128, u128, u128, simap::core::flow::FlowReport),
-            Box<dyn Error>,
-        > {
-            let config = config.to_builder().synth_jobs(jobs).build()?;
-            let elaborated = Synthesis::from_benchmark(name).config(&config).elaborate()?;
-            let start = Instant::now();
-            let covers = elaborated.covers()?;
-            let covers_us = start.elapsed().as_micros();
-            let start = Instant::now();
-            let decomposed = covers.decompose()?;
-            let decompose_us = start.elapsed().as_micros();
-            let start = Instant::now();
-            let mapped = decomposed.map();
-            let map_us = start.elapsed().as_micros();
-            Ok((covers_us, decompose_us, map_us, mapped.skip_verify().into_report()))
-        };
-        let (c1, d1, m1, sequential) = timed(1)?;
-        let (cn, dn, mn, fanned) = timed(fanout)?;
-        if report_json(&sequential) != report_json(&fanned) {
-            return Err(
-                format!("`{name}`: synth_jobs={fanout} report differs from sequential").into()
-            );
-        }
-        for signal in &fanned.outcome.mc.signals {
-            match &signal.body {
-                simap::core::mc::SignalBody::Combinational { cover, .. } => {
-                    suite_covers.push(cover.clone());
-                }
-                simap::core::mc::SignalBody::StandardC { set, reset } => {
-                    for rc in set.iter().chain(reset.iter()) {
-                        suite_covers.push(rc.cover.clone());
-                    }
-                }
-            }
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\
-             \"covers_us\":{{\"j1\":{c1},\"jn\":{cn}}},\
-             \"decompose_us\":{{\"j1\":{d1},\"jn\":{dn}}},\
-             \"map_us\":{{\"j1\":{m1},\"jn\":{mn}}}}}"
-        );
-    }
-    let mut bdd = simap::boolean::Bdd::new();
-    bdd.set_gc_watermark(Some(1 << 14));
-    let mut roots = Vec::new();
-    for cover in &suite_covers {
-        let f = bdd.from_cover(cover);
-        bdd.protect(f);
-        roots.push(f);
-    }
-    bdd.sift(&roots);
-    let stats = bdd.stats();
-    let _ = write!(
-        out,
-        "],\"bdd\":{{\"live_nodes\":{},\"peak_nodes\":{},\"gc_runs\":{},\
-         \"collected_nodes\":{},\"reorders\":{},\"level_swaps\":{}}}}}",
-        stats.live_nodes,
-        stats.peak_nodes,
-        stats.gc_runs,
-        stats.collected_nodes,
-        stats.reorders,
-        stats.level_swaps
-    );
-    Ok(out)
-}
-
-/// Absolute noise floor for `bench compare`: wall-clock deltas under
-/// this many microseconds are never regressions, whatever the ratio —
-/// tiny benchmarks elaborate in tens of microseconds, where scheduler
-/// jitter alone exceeds any percentage gate.
-const COMPARE_NOISE_FLOOR_US: u64 = 20_000;
-
-/// Compares two `bench run --record` snapshots; exits 1 when any shared
-/// timing regressed by more than `--max-regress` percent (default 25)
-/// beyond the noise floor. Gated timings: per-benchmark elaboration (all
-/// four strategies) and mapping, the spill engine's frontier fan-out and
-/// checkpoint overhead, the synthesis stages at `j1` and `jN`, the
-/// gateway's per-stage latency percentiles, and the gateway's warm-cache
-/// throughput (higher is better — gated as per-request latency).
-/// Sections absent from either snapshot are skipped, so old snapshots
-/// stay comparable.
-fn bench_compare(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
-    let parsed = parse_flags(args, &[valued("--max-regress")])?;
-    let [old_path, new_path] = parsed.positionals.as_slice() else {
-        return Err("usage: simap bench compare <old.json> <new.json> [--max-regress <pct>]".into());
-    };
-    let max_regress: f64 =
-        parsed.value("--max-regress").map(str::parse).transpose()?.unwrap_or(25.0);
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
-    };
-    let old = simap::core::json::parse(&read(old_path)?)?;
-    let new = simap::core::json::parse(&read(new_path)?)?;
-    let benches = |doc: &simap::core::json::Json| -> Result<Vec<simap::core::json::Json>, String> {
-        doc.get("benchmarks")
-            .and_then(|b| b.as_array().map(<[_]>::to_vec))
-            .ok_or_else(|| "snapshot has no `benchmarks` array".to_string())
-    };
-    let name_of = |b: &simap::core::json::Json| {
-        b.get("name").and_then(|n| n.as_str().map(str::to_string)).unwrap_or_default()
-    };
-    let old_benches = benches(&old)?;
-    let mut regressions = 0u32;
-    let mut compared = 0u32;
-    let mut check = |label: String, old_us: u64, new_us: u64| {
-        compared += 1;
-        let delta = new_us.saturating_sub(old_us);
-        let pct = if old_us == 0 { 0.0 } else { delta as f64 * 100.0 / old_us as f64 };
-        if pct > max_regress && delta > COMPARE_NOISE_FLOOR_US {
-            regressions += 1;
-            println!("REGRESSION {label}: {old_us}us -> {new_us}us (+{pct:.0}%)");
-        }
-    };
-    let lookup_us = |doc: &simap::core::json::Json, keys: &[&str]| -> Option<u64> {
-        let mut node = doc;
-        for key in keys {
-            node = node.get(key)?;
-        }
-        node.as_usize().map(|v| v as u64)
-    };
-    for bench in benches(&new)? {
-        let name = name_of(&bench);
-        let Some(old_bench) = old_benches.iter().find(|b| name_of(b) == name) else {
-            println!("note: `{name}` is new, nothing to compare against");
-            continue;
-        };
-        for strategy in ["explicit", "packed", "symbolic", "spill"] {
-            if let (Some(o), Some(n)) = (
-                lookup_us(old_bench, &["elaborate_us", strategy]),
-                lookup_us(&bench, &["elaborate_us", strategy]),
-            ) {
-                check(format!("{name} elaborate[{strategy}]"), o, n);
-            }
-        }
-        if let (Some(o), Some(n)) =
-            (lookup_us(old_bench, &["map_us"]), lookup_us(&bench, &["map_us"]))
-        {
-            check(format!("{name} map"), o, n);
-        }
-    }
-    // Section-level benchmark lists (`spill`, `synthesis`); empty when a
-    // snapshot predates the section.
-    let section_benches = |doc: &simap::core::json::Json, section: &str| {
-        doc.get(section)
-            .and_then(|s| s.get("benchmarks"))
-            .and_then(|b| b.as_array().map(<[_]>::to_vec))
-            .unwrap_or_default()
-    };
-    let old_spill = section_benches(&old, "spill");
-    for bench in section_benches(&new, "spill") {
-        let name = name_of(&bench);
-        let Some(old_bench) = old_spill.iter().find(|b| name_of(b) == name) else { continue };
-        for (label, keys) in [
-            ("frontier[j1]", &["frontier_us", "j1"][..]),
-            ("frontier[jn]", &["frontier_us", "jn"][..]),
-            ("checkpoint", &["checkpoint_us"][..]),
-        ] {
-            if let (Some(o), Some(n)) = (lookup_us(old_bench, keys), lookup_us(&bench, keys)) {
-                check(format!("{name} spill {label}"), o, n);
-            }
-        }
-    }
-    let old_synth = section_benches(&old, "synthesis");
-    for bench in section_benches(&new, "synthesis") {
-        let name = name_of(&bench);
-        let Some(old_bench) = old_synth.iter().find(|b| name_of(b) == name) else { continue };
-        for stage in ["covers_us", "decompose_us", "map_us"] {
-            for jobs in ["j1", "jn"] {
-                if let (Some(o), Some(n)) =
-                    (lookup_us(old_bench, &[stage, jobs]), lookup_us(&bench, &[stage, jobs]))
-                {
-                    check(format!("{name} synthesis {stage}[{jobs}]"), o, n);
-                }
-            }
-        }
-    }
-    if let (Some(old_serve), Some(new_serve)) = (old.get("serve"), new.get("serve")) {
-        for stage in ["configure", "load", "elaborate", "covers", "decompose", "map", "verify"] {
-            for q in ["p50", "p90", "p99"] {
-                if let (Some(o), Some(n)) = (
-                    lookup_us(old_serve, &["stage_percentiles_us", stage, q]),
-                    lookup_us(new_serve, &["stage_percentiles_us", stage, q]),
-                ) {
-                    check(format!("serve {stage}[{q}]"), o, n);
-                }
-            }
-        }
-        // Throughput is higher-is-better: gate the equivalent per-request
-        // latency so the noise floor applies in the same unit.
-        let rps = |doc: &simap::core::json::Json, key: &str| -> Option<f64> {
-            match doc.get(key)? {
-                simap::core::json::Json::Int(n) => Some(*n as f64),
-                simap::core::json::Json::Float(f) => Some(*f),
-                _ => None,
-            }
-        };
-        if let (Some(o), Some(n)) = (rps(old_serve, "warm_rps"), rps(new_serve, "warm_rps")) {
-            if o > 0.0 && n > 0.0 {
-                check(
-                    "serve warm_rps (as us/request)".to_string(),
-                    (1e6 / o) as u64,
-                    (1e6 / n) as u64,
-                );
-            }
-        }
-    }
-    println!(
-        "compared {compared} timings, {regressions} regressions \
-         (gate: >{max_regress}% and >{COMPARE_NOISE_FLOOR_US}us)"
-    );
-    Ok(if regressions == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-}
-
 fn bench_run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let parsed = parse_flags(
         args,
         &[
-            valued("--limits"),
-            aliased(valued("--jobs"), "-j"),
-            valued("--strategy"),
-            valued("--reach-jobs"),
-            valued("--synth-jobs"),
-            valued("--materialize-limit"),
-            valued("--memory-budget"),
-            valued("--spill-dir"),
-            valued("--shards"),
-            valued("--checkpoint-every"),
-            valued("--checkpoint-dir"),
-            valued("--resume"),
-            valued("--record"),
-            flag("--csc-repair"),
-            flag("--no-verify"),
-            flag("--json"),
-            flag("--csv"),
-            aliased(flag("--verbose"), "-v"),
-        ],
+            ENGINE_FLAGS,
+            &[
+                valued("--limits"),
+                aliased(valued("--jobs"), "-j"),
+                flag("--csc-repair"),
+                flag("--no-verify"),
+                flag("--json"),
+                flag("--csv"),
+                aliased(flag("--verbose"), "-v"),
+            ],
+        ]
+        .concat(),
     )?;
 
     let limits: Vec<usize> = match parsed.value("--limits") {
@@ -1011,7 +475,7 @@ fn bench_run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         Config::builder().repair_csc(parsed.has("--csc-repair")).verify(!parsed.has("--no-verify")),
     )?
     .build()?;
-    let engine = Engine::new(config.clone());
+    let engine = Engine::new(config);
 
     let batch = if parsed.positionals.is_empty() {
         engine.batch_all()
@@ -1033,15 +497,6 @@ fn bench_run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             "elaboration cache: {} hits, {} misses, {} entries, {} evicted",
             stats.hits, stats.misses, stats.entries, stats.evicted
         );
-    }
-    if let Some(path) = parsed.value("--record") {
-        let names: Vec<String> = if parsed.positionals.is_empty() {
-            engine.registry().names().iter().map(|n| n.to_string()).collect()
-        } else {
-            parsed.positionals.clone()
-        };
-        record_snapshot(path, &names, &config, engine.cache_stats())?;
-        eprintln!("recorded {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1134,4 +589,25 @@ fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let _ = watcher.join();
     eprintln!("simap serve: drained and shut down cleanly");
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_bytes;
+
+    #[test]
+    fn byte_sizes_parse_with_binary_suffixes() {
+        assert_eq!(parse_bytes("4096"), Ok(4096));
+        assert_eq!(parse_bytes("256MiB"), Ok(256 << 20));
+        assert_eq!(parse_bytes("1G"), Ok(1 << 30));
+        assert!(parse_bytes("1T").unwrap_err().contains("unknown suffix"));
+    }
+
+    #[test]
+    fn byte_sizes_that_lose_high_bits_overflow() {
+        // 2^34 GiB is exactly 2^64 bytes; one more GiB would wrap to 1 GiB.
+        for spec in ["17179869184G", "17179869185G"] {
+            assert!(parse_bytes(spec).unwrap_err().contains("overflows"), "{spec}");
+        }
+    }
 }

@@ -113,8 +113,7 @@
 //! Cold elaboration runs on one of four reachability strategies (see
 //! [`simap_stg::reach`] for the full selection guide): the packed-state
 //! default — bit-packed markings in a contiguous arena with
-//! mask-compiled transitions, plus [`ReachConfig::jobs`] parallel
-//! frontier expansion with byte-identical results; the legacy explicit
+//! mask-compiled transitions; the legacy explicit
 //! BFS ([`ReachStrategy::Explicit`]), an independent differential
 //! oracle for validating changes to the hot path; the symbolic BDD
 //! engine ([`ReachStrategy::Symbolic`]), which represents the reachable
@@ -132,12 +131,10 @@
 //! use simap::{Config, Engine, ReachStrategy};
 //!
 //! let oracle = Config::builder().reach_strategy(ReachStrategy::Explicit).build()?;
-//! let fast = Config::builder().reach_jobs(4).build()?;
-//! let engine = Engine::new(fast);
+//! let engine = Engine::new(oracle);
 //! let elaborated = engine.benchmark("hazard").elaborate()?;
 //! let stats = elaborated.reach_stats().expect("fresh elaboration");
 //! assert_eq!(stats.interned, elaborated.state_graph().state_count());
-//! # let _ = oracle;
 //! # Ok::<(), simap::Error>(())
 //! ```
 //!
@@ -202,17 +199,12 @@
 //! know the run was interrupted.
 //!
 //! The cadence is a loss-window/overhead trade-off: `--checkpoint-every
-//! 1` bounds the lost work to a single level but pays a write per level
-//! (`bench run --record` tracks this as `spill.checkpoint_us` against
-//! `spill.frontier_us`); sparse cadences amortize the writes at the
-//! price of longer re-exploration after a crash. The [`reach.jobs`
-//! knob](#which-jobs-knob-does-what) is the one that applies here:
-//! frontier fan-out parallelizes the spill engine too, checkpoints are
-//! only ever cut at level boundaries (so they are consistent at any
-//! fan-out), and a run may resume under a different `jobs` or
-//! `memory_budget` than it was started with — only `max_states`,
-//! `max_tokens` and `shards` are pinned by the manifest's config
-//! digest.
+//! 1` bounds the lost work to a single level but pays a write per
+//! level; sparse cadences amortize the writes at the price of longer
+//! re-exploration after a crash. Checkpoints are only ever cut at level
+//! boundaries, and a run may resume under a different `memory_budget`
+//! than it was started with — only `max_states`, `max_tokens` and
+//! `shards` are pinned by the manifest's config digest.
 //!
 //! ```
 //! use simap::stg::{benchmark, elaborate_with_stats};
@@ -252,36 +244,9 @@
 //! # Ok::<(), simap::Error>(())
 //! ```
 //!
-//! ## Which jobs knob does what
-//!
-//! Four independent fan-outs exist, one per granularity. All of them are
-//! deterministic — results are byte-identical to a sequential run — so
-//! they compose freely:
-//!
-//! | Knob | Set via | Fans out | Scope |
-//! |------|---------|----------|-------|
-//! | `reach.jobs` | [`ConfigBuilder::reach_jobs`], CLI `--reach-jobs` on `check`/`map` | frontier expansion *inside one elaboration* (packed/spill strategies) | one STG → state-graph run |
-//! | `synth_jobs` | [`ConfigBuilder::synth_jobs`], CLI `--synth-jobs`, serve request field `synth_jobs` | per-signal cover synthesis and candidate evaluation *inside one synthesis* | one flow's Covers + Decompose stages |
-//! | batch `--jobs` | [`Batch::jobs`], CLI `bench run --jobs` | whole specifications across a worker pool | many flows, one process |
-//! | serve `--jobs` | `simap serve --jobs` | concurrent HTTP jobs over one shared engine | many flows, many clients |
-//!
-//! `synth_jobs` parallelizes the per-output-signal work of the paper's
-//! core loop — monotonous-cover synthesis and decomposition candidate
-//! resynthesis — and merges results in signal-index order, so reports,
-//! observer event sequences and netlists never depend on the thread
-//! count. Like `reach.jobs` it is excluded from the elaboration cache
-//! key: runs differing only in fan-out share cache entries.
-//!
-//! ```
-//! use simap::core::report_json;
-//! use simap::{Config, Engine};
-//!
-//! let sequential = Engine::new(Config::builder().synth_jobs(1).build()?);
-//! let fanned = Engine::new(Config::builder().synth_jobs(4).build()?);
-//! let (a, b) = (sequential.synthesize("hazard")?, fanned.synthesize("hazard")?);
-//! assert_eq!(report_json(&a), report_json(&b), "byte-identical at any fan-out");
-//! # Ok::<(), simap::Error>(())
-//! ```
+//! Every synthesis run is single-threaded; the only parallelism is
+//! between independent runs — [`Batch::jobs`] (CLI `bench run --jobs`)
+//! within one process and `simap serve --jobs` across HTTP clients.
 //!
 //! Every intermediate artifact of the flow is a typed, `Send + 'static`
 //! stage value that can be inspected, cached or moved across threads:
@@ -327,14 +292,14 @@
 //!
 //! ## Deprecation policy
 //!
-//! The 0.2 per-stage configuration setters (`Synthesis::literal_limit`,
-//! `Batch::verify`, …) were superseded in 0.3 by [`Config`] +
-//! [`Synthesis::config`] / [`Batch::config`]; they remain available as
-//! `#[deprecated]` shims with unchanged behavior for at least one minor
-//! release before removal, as does `simap::core::run_flow` (deprecated in
-//! 0.2). Algorithm primitives (`synthesize_mc`, `repair_csc`,
-//! `compute_insertion`, `build_circuit`, …) are the stable substrate the
-//! pipeline is built on and are not deprecated.
+//! A public item slated for removal is first marked `#[deprecated]` with
+//! a note naming its replacement, and is removed after one minor
+//! release. The 0.2/0.3 configuration shims (the flow-level free
+//! function and the per-stage `Synthesis`/`Batch` setters) were removed
+//! in 0.12: configure runs through [`Config`] +
+//! [`Synthesis::config`] / [`Batch::config`]. Algorithm primitives
+//! (`synthesize_mc`, `repair_csc`, `compute_insertion`, `build_circuit`,
+//! …) are the stable substrate the pipeline is built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Integration tests over the embedded 32-circuit Table 1 suite,
 //! including the golden conformance snapshot every strategy must match.
 
-use simap::core::{csc_conflicts, synthesize_mc, synthesize_mc_jobs, validate_mc};
+use simap::core::{csc_conflicts, synthesize_mc, validate_mc};
 use simap::sg::check_all;
 use simap::stg::{all_benchmarks, benchmark_names, elaborate, elaborate_with};
 use simap::{ReachConfig, ReachStrategy};
@@ -162,12 +162,12 @@ const SIGNAL_GOLDEN_PATH: &str =
 /// Renders the per-signal synthesis table: one line per implementable
 /// signal of every Table 1 circuit with the cube and literal counts of
 /// its initial monotonous-cover implementation.
-fn signal_cover_table(jobs: usize) -> String {
+fn signal_cover_table() -> String {
     let mut out = String::from("# circuit\tsignal\tcubes\tliterals\n");
     for name in benchmark_names() {
         let stg = simap::stg::benchmark(name).expect("known benchmark");
         let sg = elaborate(&stg).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mc = synthesize_mc_jobs(&sg, jobs).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mc = synthesize_mc(&sg).unwrap_or_else(|e| panic!("{name}: {e}"));
         for signal in &mc.signals {
             out.push_str(&format!(
                 "{name}\t{}\t{}\t{}\n",
@@ -181,8 +181,7 @@ fn signal_cover_table(jobs: usize) -> String {
 }
 
 /// Golden per-signal snapshot: the cube/literal counts of every initial
-/// cover, per circuit and signal, pinned exactly — and reproduced
-/// identically by the parallel synthesis core. Regenerate after an
+/// cover, per circuit and signal, pinned exactly. Regenerate after an
 /// intentional change with:
 ///
 /// ```text
@@ -190,10 +189,9 @@ fn signal_cover_table(jobs: usize) -> String {
 /// ```
 #[test]
 fn golden_signal_covers_snapshot() {
-    let sequential = signal_cover_table(1);
-    assert_eq!(signal_cover_table(4), sequential, "parallel synthesis changed a cover");
+    let table = signal_cover_table();
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(SIGNAL_GOLDEN_PATH, &sequential).expect("write golden snapshot");
+        std::fs::write(SIGNAL_GOLDEN_PATH, &table).expect("write golden snapshot");
         eprintln!("regenerated {SIGNAL_GOLDEN_PATH}");
         return;
     }
@@ -205,7 +203,7 @@ fn golden_signal_covers_snapshot() {
         )
     });
     assert_eq!(
-        sequential, golden,
+        table, golden,
         "per-signal covers drifted from the committed snapshot; if the change is \
          intentional, regenerate it with:\n    UPDATE_GOLDEN=1 cargo test --test \
          benchmark_suite golden_signal_covers"

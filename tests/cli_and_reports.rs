@@ -121,10 +121,19 @@ fn cli_rejects_flags_missing_their_value() {
 
 #[test]
 fn cli_rejects_unknown_flags_in_subcommands() {
-    let out = simap(&["bench", "run", "half", "--nonsense"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag `--nonsense`"), "{stderr}");
+    for (args, flag) in [
+        (vec!["bench", "run", "half", "--nonsense"], "--nonsense"),
+        (vec!["check", "--bench", "half", "--reach-jobs", "2"], "--reach-jobs"),
+        (vec!["map", "--bench", "half", "--synth-jobs", "2"], "--synth-jobs"),
+        (vec!["bench", "run", "half", "--reach-jobs", "2"], "--reach-jobs"),
+        (vec!["bench", "run", "half", "--synth-jobs", "2"], "--synth-jobs"),
+        (vec!["bench", "run", "half", "--record", "out.json"], "--record"),
+    ] {
+        let out = simap(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

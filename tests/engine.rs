@@ -3,8 +3,9 @@
 //! `Batch` executor — including the CI smoke test that parallel and
 //! sequential batches emit byte-identical reports.
 
-use simap::core::{to_csv, to_markdown};
-use simap::{Config, Engine, Error, Stage};
+use simap::core::{report_json, to_csv, to_markdown};
+use simap::{Config, Engine, Error, EventObserver, FlowEvent, Stage, Synthesis};
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn config_is_validated_once_at_build() {
@@ -157,4 +158,107 @@ fn reach_limit_is_honored_through_config() {
     let err = Engine::new(config).synthesize("hazard").unwrap_err();
     assert!(matches!(err, Error::Elaborate(_)), "{err}");
     assert_eq!(err.stage(), Stage::Elaborate);
+}
+
+/// Runs one flow, returning the JSON report (or the error rendering) plus
+/// the full observer event stream as JSON lines.
+fn run_with_events(synthesis: Synthesis, config: &Config) -> (Result<String, String>, Vec<String>) {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = events.clone();
+    let result = synthesis
+        .config(config)
+        .observer(EventObserver::new(move |e: FlowEvent| sink.lock().unwrap().push(e.to_json())))
+        .run()
+        .map(|report| report_json(&report))
+        .map_err(|e| format!("{e:?}"));
+    let events = events.lock().expect("sink poisoned").clone();
+    (result, events)
+}
+
+/// The canonical per-signal event order: within the Covers stage, one
+/// `signal_synth` line per implementable signal, in signal-index order.
+#[test]
+fn signal_synth_events_replay_in_signal_index_order() {
+    let elaborated = Synthesis::from_benchmark("hazard").elaborate().expect("elaborates");
+    let expected: Vec<String> = {
+        let sg = elaborated.state_graph();
+        sg.implementable_signals().iter().map(|s| sg.signals()[s.0].name.clone()).collect()
+    };
+    let config = Config::builder().verify(false).build().expect("valid config");
+    let (_, events) = run_with_events(Synthesis::from_benchmark("hazard"), &config);
+    let covers_start = events
+        .iter()
+        .position(|e| e.contains("\"stage_start\",\"stage\":\"covers\""))
+        .expect("covers stage starts");
+    let synths: Vec<&String> =
+        events.iter().filter(|e| e.starts_with("{\"event\":\"signal_synth\"")).collect();
+    assert_eq!(synths.len(), expected.len(), "one event per signal");
+    for (event, name) in synths.iter().zip(&expected) {
+        assert!(event.contains(&format!("\"signal\":\"{name}\"")), "expected {name} in {event}");
+    }
+    // All of them belong to the Covers stage, after its start event.
+    let first_synth = events
+        .iter()
+        .position(|e| e.starts_with("{\"event\":\"signal_synth\""))
+        .expect("events fired");
+    assert!(first_synth > covers_start, "synth events follow covers start");
+}
+
+/// A `.g` specification with a textbook CSC conflict (the code `10` is
+/// visited twice with different futures), used to exercise the
+/// conflict/repair replay path of the engine cache.
+const CSC_CONFLICTED_G: &str = "\
+.model cscdemo
+.outputs a b
+.graph
+a+ b+
+b+ b-
+b- a-
+a- a+
+.marking { <a-,a+> }
+.end
+";
+
+/// Cold and cached elaborations must emit identical event streams —
+/// stage events, CSC conflicts, CSC repairs and per-signal progress all
+/// replay in the same canonical order.
+#[test]
+fn cold_and_cached_event_streams_match() {
+    let base = Config::builder().repair_csc(true).verify(false).build().expect("valid config");
+    let engine = Engine::new(base.clone());
+    let (cold_report, cold_events) = run_with_events(engine.g_source(CSC_CONFLICTED_G), &base);
+    assert_eq!(engine.cache_stats().hits, 0, "first run is cold");
+    let (cached_report, cached_events) = run_with_events(engine.g_source(CSC_CONFLICTED_G), &base);
+    assert!(engine.cache_stats().hits >= 1, "second run replays from the cache");
+    assert_eq!(cached_report, cold_report, "cached report");
+    assert_eq!(cached_events, cold_events, "cached event stream");
+    // The stream really exercised the conflict/repair replay.
+    for kind in ["csc_conflicts", "csc_repair", "signal_synth"] {
+        assert!(
+            cold_events.iter().any(|e| e.starts_with(&format!("{{\"event\":\"{kind}\""))),
+            "{cold_events:?}"
+        );
+    }
+}
+
+/// Suite-wide replay: for every embedded benchmark, a cached rerun
+/// through the same engine yields the cold run's JSON report and event
+/// stream byte for byte. Debug builds skip the circuits above 400
+/// states (the release-mode CI conformance job covers the full suite).
+#[test]
+fn benchmark_suite_cold_and_cached_runs_match() {
+    let config = Config::builder().verify(false).build().expect("valid config");
+    for &name in simap::stg::benchmark_names() {
+        // Warms the engine's cache; the flow below then replays from it.
+        let engine = Engine::new(config.clone());
+        let elaborated = engine.benchmark(name).elaborate().expect("benchmark elaborates");
+        if cfg!(debug_assertions) && elaborated.state_graph().state_count() > 400 {
+            continue;
+        }
+        let (cold_report, cold_events) = run_with_events(Synthesis::from_benchmark(name), &config);
+        let (cached_report, cached_events) = run_with_events(engine.benchmark(name), &config);
+        assert!(engine.cache_stats().hits >= 1, "{name}: rerun replays from the cache");
+        assert_eq!(cached_report, cold_report, "{name}: cached report");
+        assert_eq!(cached_events, cold_events, "{name}: cached event stream");
+    }
 }

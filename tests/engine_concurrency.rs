@@ -127,3 +127,19 @@ fn mixed_strategies_share_the_engine_without_cross_talk() {
     // One cache entry per strategy (strategy is part of the key).
     assert_eq!(engine.cache_stats().entries, strategies.len());
 }
+
+#[test]
+fn registry_shares_one_stg_across_threads() {
+    let registry = simap::stg::BenchmarkRegistry::new();
+    assert!(registry.contains("hazard"));
+    assert!(!registry.contains("bogus"));
+    assert!(registry.get("bogus").is_none());
+    let handles: Vec<std::sync::Arc<simap::stg::Stg>> = std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            (0..4).map(|_| scope.spawn(|| registry.get("hazard").expect("known"))).collect();
+        workers.into_iter().map(|w| w.join().expect("no panic")).collect()
+    });
+    for pair in handles.windows(2) {
+        assert!(std::sync::Arc::ptr_eq(&pair[0], &pair[1]), "all threads share one construction");
+    }
+}

@@ -1,8 +1,8 @@
 //! Integration tests of the staged `Synthesis` pipeline: the typed error
 //! paths (unknown benchmark, parse failure, CSC violation with repair
 //! off, CSC repair failure, verification failure), the equivalence of the
-//! staged and one-shot drivers, observer delivery and the deprecated
-//! `run_flow` shim.
+//! staged and one-shot drivers, CSC repair, observer delivery and
+//! batches.
 
 use simap::sg::{Event, Signal, SignalId, SignalKind, StateGraph, StateGraphBuilder};
 use simap::{Batch, Error, Stage, Synthesis};
@@ -81,7 +81,7 @@ fn csc_violation_with_repair_off() {
 fn csc_repair_failure_surfaces_conflicts() {
     // A zero insertion budget makes the (otherwise repairable) conflict
     // unrepairable — and the error must carry the original conflicts
-    // instead of being swallowed (the historic run_flow fallback).
+    // instead of being swallowed.
     use simap::core::CscRepairConfig;
     let starved = simap::Config::builder()
         .repair_csc(true)
@@ -148,32 +148,14 @@ fn staged_matches_one_shot_on_benchmarks() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_run_flow_still_works() {
-    use simap::core::{run_flow, FlowConfig};
-    let stg = simap::stg::benchmark("hazard").expect("known");
-    let sg = simap::stg::elaborate(&stg).expect("elaborates");
-    let old = run_flow(&sg, &FlowConfig::with_limit(2)).expect("flow");
-    let new = Synthesis::from_state_graph(sg).run().expect("flow");
-    assert_eq!(old.inserted, new.inserted);
-    assert_eq!(old.si_cost, new.si_cost);
-    assert_eq!(old.verified, new.verified);
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_flow_keeps_csc_contract() {
-    use simap::core::{run_flow, FlowConfig, McError};
-    // Repair off: the CSC conflict arrives as the old McError.
-    let sg = conflicted(SignalKind::Output);
-    let err = run_flow(&sg, &FlowConfig::with_limit(2)).unwrap_err();
-    assert!(matches!(err, McError::CscConflict { .. }));
-
-    // Repair on and possible: the shim repairs and completes, as the old
-    // entry point did.
-    let mut config = FlowConfig::with_limit(2);
-    config.repair_csc = true;
-    let report = run_flow(&sg, &config).expect("repairs and flows");
+fn csc_repair_on_repairs_and_completes() {
+    // The same conflict `csc_violation_with_repair_off` refuses is
+    // repaired by one state signal, and the flow then verifies.
+    let config = simap::Config::builder().repair_csc(true).build().unwrap();
+    let report = Synthesis::from_state_graph(conflicted(SignalKind::Output))
+        .config(&config)
+        .run()
+        .expect("repairs and flows");
     assert_eq!(report.verified, Some(true));
 }
 

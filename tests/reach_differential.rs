@@ -1,11 +1,10 @@
 //! Differential testing of the reachability engines: for random safe
 //! STGs, every registry benchmark, and every error family (unbounded,
 //! state limit, inconsistency), the four strategies — `Packed` (the
-//! default, sequential and jobs=4), `Explicit` (the legacy oracle),
-//! `Symbolic` (the BDD engine) and `Spill` (the external-memory engine,
-//! sequential and jobs∈{2,4}, at the default budget and at a tiny
-//! budget that forces genuine spilling) — must agree. The enumerative strategies and Spill are
-//! held to byte-identical results; the symbolic engine materializes
+//! default), `Explicit` (the legacy oracle), `Symbolic` (the BDD engine)
+//! and `Spill` (the external-memory engine, at the default budget and at
+//! a tiny budget that forces genuine spilling) — must agree. The
+//! enumerative strategies and Spill are held to byte-identical results; the symbolic engine materializes
 //! byte-identical graphs too, and its independently computed counts,
 //! initial code, region sizes and CSC conflict codes are cross-checked
 //! against the oracle's graph.
@@ -27,24 +26,18 @@ fn cases(default: u32) -> u32 {
 }
 
 fn explicit(config: &ReachConfig) -> ReachConfig {
-    ReachConfig { strategy: ReachStrategy::Explicit, jobs: 1, ..config.clone() }
+    ReachConfig { strategy: ReachStrategy::Explicit, ..config.clone() }
 }
 
 fn symbolic(config: &ReachConfig) -> ReachConfig {
-    ReachConfig { strategy: ReachStrategy::Symbolic, jobs: 1, ..config.clone() }
+    ReachConfig { strategy: ReachStrategy::Symbolic, ..config.clone() }
 }
 
 /// The spill strategy at a given memory budget. Few shards so tiny
 /// budgets overflow the per-shard arena caches too, not just the
 /// frontier buffers.
 fn spill(config: &ReachConfig, memory_budget: usize) -> ReachConfig {
-    ReachConfig {
-        strategy: ReachStrategy::Spill,
-        jobs: 1,
-        memory_budget,
-        shards: 4,
-        ..config.clone()
-    }
+    ReachConfig { strategy: ReachStrategy::Spill, memory_budget, shards: 4, ..config.clone() }
 }
 
 /// A budget at the engine's floor: every component buffer is at its
@@ -148,34 +141,24 @@ fn assert_summary_matches(stg: &Stg, config: &ReachConfig, oracle: &StateGraph, 
     }
 }
 
-/// Elaborates under every strategy (packed sequential, packed jobs=4,
-/// explicit, symbolic) and checks the outcomes — graphs or errors —
-/// coincide.
+/// Elaborates under every strategy (packed, explicit, spill, symbolic)
+/// and checks the outcomes — graphs or errors — coincide.
 fn assert_differential(stg: &Stg, config: &ReachConfig, context: &str) {
-    let packed = elaborate_with(stg, &ReachConfig { jobs: 1, ..config.clone() });
-    let parallel = elaborate_with(stg, &ReachConfig { jobs: 4, ..config.clone() });
+    let packed = elaborate_with(stg, config);
     let oracle = elaborate_with(stg, &explicit(config));
-    match (&packed, &parallel, &oracle) {
-        (Ok(p), Ok(par), Ok(o)) => {
-            assert_same_graph(p, o, context);
-            assert_same_graph(par, o, &format!("{context} [jobs=4]"));
-        }
-        (Err(p), Err(par), Err(o)) => {
-            assert_eq!(p, o, "{context}: packed error must equal the oracle's");
-            assert_eq!(par, o, "{context}: parallel error must equal the oracle's");
-        }
+    match (&packed, &oracle) {
+        (Ok(p), Ok(o)) => assert_same_graph(p, o, context),
+        (Err(p), Err(o)) => assert_eq!(p, o, "{context}: packed error must equal the oracle's"),
         _ => panic!(
             "{context}: strategies disagree on success:\n  packed:   {packed:?}\n  \
-             parallel: {parallel:?}\n  explicit: {oracle:?}"
+             explicit: {oracle:?}"
         ),
     }
 
     // The spill engine is held to the same exactness as the enumerative
     // pair — byte-identical graphs and identical errors — at the default
     // budget (everything resident) and at the floor budget (arena pages,
-    // frontier runs and the edge log all cycling through disk), and at
-    // every frontier fan-out: the parallel expansion merges worker
-    // results in deterministic (source, transition) order.
+    // frontier runs and the edge log all cycling through disk).
     for budget in [ReachConfig::default().memory_budget, TINY_BUDGET] {
         let spilled = elaborate_with(stg, &spill(config, budget));
         match (&spilled, &oracle) {
@@ -189,24 +172,6 @@ fn assert_differential(stg: &Stg, config: &ReachConfig, context: &str) {
                 "{context} [spill budget={budget}]: spill disagrees on success:\n  \
                  spill:    {spilled:?}\n  explicit: {oracle:?}"
             ),
-        }
-        for jobs in [2, 4] {
-            let fanned = elaborate_with(stg, &ReachConfig { jobs, ..spill(config, budget) });
-            match (&fanned, &spilled) {
-                (Ok(f), Ok(s)) => assert_same_graph(
-                    f,
-                    s,
-                    &format!("{context} [spill budget={budget} jobs={jobs}]"),
-                ),
-                (Err(f), Err(s)) => assert_eq!(
-                    f, s,
-                    "{context} [spill budget={budget} jobs={jobs}]: error must match jobs=1"
-                ),
-                _ => panic!(
-                    "{context} [spill budget={budget} jobs={jobs}]: fan-out changes the \
-                     outcome:\n  jobs={jobs}: {fanned:?}\n  jobs=1:   {spilled:?}"
-                ),
-            }
         }
     }
 
@@ -268,8 +233,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
     /// Random safe STGs — single patterns and parallel compositions —
-    /// elaborate identically under Packed (sequential and jobs=4),
-    /// Explicit and Symbolic, with the symbolic summary cross-checked.
+    /// elaborate identically under Packed, Explicit, Spill and Symbolic,
+    /// with the symbolic summary cross-checked.
     #[test]
     fn random_safe_stgs_elaborate_identically(parts in proptest::collection::vec(arb_part(), 1..3)) {
         let stg = if parts.len() == 1 {
@@ -312,8 +277,8 @@ a- p
     }
 }
 
-/// Every registry benchmark elaborates identically under all three
-/// strategies and under parallel frontier expansion, with matching
+/// Every registry benchmark elaborates identically under all four
+/// strategies (Spill at both budgets), with matching
 /// exploration counters; the symbolic summary (exact counts, initial
 /// code, regions, CSC codes) is cross-checked against the oracle —
 /// on every benchmark in release builds, on the smaller ones in debug
@@ -333,9 +298,6 @@ fn all_registry_benchmarks_elaborate_identically() {
             (ostats.visited, ostats.interned, ostats.edges),
             "{name}: exploration counters"
         );
-        let parallel = elaborate_with(&stg, &ReachConfig { jobs: 4, ..config.clone() })
-            .unwrap_or_else(|e| panic!("{name} [jobs=4]: {e}"));
-        assert_same_graph(&parallel, &oracle, &format!("{name} [jobs=4]"));
 
         let (spilled, spstats) =
             elaborate_with_stats(&stg, &spill(&config, ReachConfig::default().memory_budget))
@@ -349,14 +311,6 @@ fn all_registry_benchmarks_elaborate_identically() {
         assert!(pstats.spill.is_none(), "{name}: packed stats must not carry spill counters");
         let counters = spstats.spill.unwrap_or_else(|| panic!("{name}: spill counters missing"));
         assert_eq!(counters.shards, 4, "{name}: effective shard count");
-        for jobs in [2, 4] {
-            let fanned = elaborate_with(
-                &stg,
-                &ReachConfig { jobs, ..spill(&config, ReachConfig::default().memory_budget) },
-            )
-            .unwrap_or_else(|e| panic!("{name} [spill jobs={jobs}]: {e}"));
-            assert_same_graph(&fanned, &oracle, &format!("{name} [spill jobs={jobs}]"));
-        }
         if !cfg!(debug_assertions) || oracle.state_count() <= 500 {
             let tiny = elaborate_with_stats(&stg, &spill(&config, TINY_BUDGET))
                 .unwrap_or_else(|e| panic!("{name} [spill tiny]: {e}"));
@@ -369,10 +323,6 @@ fn all_registry_benchmarks_elaborate_identically() {
                      (got {tc:?})"
                 );
             }
-            let tiny4 =
-                elaborate_with(&stg, &ReachConfig { jobs: 4, ..spill(&config, TINY_BUDGET) })
-                    .unwrap_or_else(|e| panic!("{name} [spill tiny jobs=4]: {e}"));
-            assert_same_graph(&tiny4, &oracle, &format!("{name} [spill tiny jobs=4]"));
         }
 
         let (sym, sstats) = elaborate_with_stats(&stg, &symbolic(&config))
@@ -475,11 +425,8 @@ fn benchmark_state_limits_match() {
         let stg = benchmark(name).expect("known benchmark");
         let config = ReachConfig { max_states: limit, ..ReachConfig::default() };
         let packed = elaborate_with(&stg, &config).unwrap_err();
-        let parallel =
-            elaborate_with(&stg, &ReachConfig { jobs: 4, ..config.clone() }).unwrap_err();
         let oracle = elaborate_with(&stg, &explicit(&config)).unwrap_err();
         assert_eq!(packed, oracle, "{name}");
-        assert_eq!(parallel, oracle, "{name} [jobs=4]");
         let sym = elaborate_with(&stg, &symbolic(&config)).unwrap_err();
         assert_eq!(sym, oracle, "{name} [symbolic]");
         for budget in [ReachConfig::default().memory_budget, TINY_BUDGET] {

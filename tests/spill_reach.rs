@@ -63,7 +63,14 @@ fn million_state_net_elaborates_under_a_bounded_budget() {
     let parts: Vec<_> = (0..10).map(|_| patterns::sequencer(2, None)).collect();
     let grid = patterns::parallel("grid", &parts);
     let budget = 256 * 1024 * 1024;
-    let config = ReachConfig { max_states: 2_000_000, ..spill_config(budget) };
+    // Scratch under our own directory, not the system temp dir: a run
+    // there would race `default_spill_placement_cleans_up`'s scan.
+    let scratch = ScratchDir::new("million");
+    let config = ReachConfig {
+        max_states: 2_000_000,
+        spill_dir: Some(scratch.0.clone()),
+        ..spill_config(budget)
+    };
     let (spilled, stats) = elaborate_with_stats(&grid, &config).expect("spill elaborates");
     assert_eq!(spilled.state_count(), 4usize.pow(10));
     assert!(
@@ -170,9 +177,11 @@ fn kill_check_mid_run(spec: &std::path::Path, ckpt: &std::path::Path, attempt: u
 /// The exploration config matching [`kill_check_mid_run`]'s flags: the
 /// checkpoint's config digest covers `max_states`, `max_tokens` and
 /// `shards`, so the resuming run must agree on those (budget and jobs
-/// are free to differ — the result is byte-identical by contract).
-fn kill_check_config() -> ReachConfig {
-    spill_config(4096)
+/// are free to differ — the result is byte-identical by contract). The
+/// resumed run's scratch goes under `spill_dir`, never the system temp
+/// dir, so it cannot race [`default_spill_placement_cleans_up`]'s scan.
+fn kill_check_config(spill_dir: &std::path::Path) -> ReachConfig {
+    ReachConfig { spill_dir: Some(spill_dir.to_path_buf()), ..spill_config(4096) }
 }
 
 /// The kill/resume acceptance case: a child `simap check` with
@@ -200,7 +209,7 @@ fn sigkilled_check_resumes_byte_identically() {
     }
     assert!(interrupted, "could not SIGKILL `simap check` mid-run in 5 attempts");
 
-    let config = ReachConfig { resume: Some(ckpt_dir.clone()), ..kill_check_config() };
+    let config = ReachConfig { resume: Some(ckpt_dir.clone()), ..kill_check_config(&scratch.0) };
     let (resumed, stats) = elaborate_with_stats(&stg, &config).expect("resume elaborates");
     let counters = stats.spill.expect("spill counters");
     assert!(counters.resume_level >= 1, "resume must continue a checkpoint: {counters:?}");
@@ -246,7 +255,7 @@ fn corrupted_or_mismatched_checkpoints_are_refused_then_recover() {
     }
     assert!(interrupted, "could not SIGKILL `simap check` mid-run in 5 attempts");
 
-    let resume = ReachConfig { resume: Some(ckpt_dir.clone()), ..kill_check_config() };
+    let resume = ReachConfig { resume: Some(ckpt_dir.clone()), ..kill_check_config(&scratch.0) };
     let manifest = ckpt_dir.join("MANIFEST");
     let pristine = std::fs::read(&manifest).expect("manifest readable");
 
@@ -286,7 +295,10 @@ fn corrupted_or_mismatched_checkpoints_are_refused_then_recover() {
 }
 
 /// The default placement (no `spill_dir`) works and reports counters;
-/// nothing of ours is left in the system temp dir afterwards.
+/// nothing of ours is left in the system temp dir afterwards. This is
+/// the only test in this binary that spills into the system temp dir —
+/// every other one passes its own `spill_dir` — so a concurrently
+/// running test cannot show up in the scan.
 #[test]
 fn default_spill_placement_cleans_up() {
     let stg = benchmark("mr0").expect("known benchmark");
