@@ -96,16 +96,14 @@ fn bench_elaborate(c: &mut Criterion) {
 /// The reachability engine itself, isolated from the rest of the flow:
 /// cold elaboration of `mr0` — the largest registry specification (4096
 /// states, 20800 arcs) — under the packed-state engine vs the explicit
-/// oracle vs the symbolic BDD engine. The packed arena + mask-compiled
-/// token game is the whole packed-vs-explicit difference (acceptance bar
-/// 2x or better); the symbolic column prices the BDD safety/count
-/// pre-pass that buys the beyond-StateLimit workload.
+/// oracle. The packed arena + mask-compiled token game is the whole
+/// difference (acceptance bar 2x or better).
 fn bench_strategy(c: &mut Criterion) {
     let largest = "mr0";
     let stg = benchmark(largest).expect("known benchmark");
     let mut group = c.benchmark_group("elaborate/strategy");
     group.sample_size(10);
-    for strategy in [ReachStrategy::Packed, ReachStrategy::Explicit, ReachStrategy::Symbolic] {
+    for strategy in [ReachStrategy::Packed, ReachStrategy::Explicit] {
         let config = ReachConfig { strategy, ..ReachConfig::default() };
         group.bench_function(BenchmarkId::new(strategy.to_string(), largest), |b| {
             b.iter(|| elaborate_with(std::hint::black_box(&stg), &config).expect("elaborates"))
@@ -114,32 +112,5 @@ fn bench_strategy(c: &mut Criterion) {
     group.finish();
 }
 
-/// The symbolic engine on its home turf: exact counting of a state space
-/// (4^14 ≈ 268M markings) no enumerative engine can touch.
-fn bench_symbolic_count(c: &mut Criterion) {
-    let parts: Vec<simap_bench::reexports::Stg> =
-        (0..14).map(|_| simap_bench::reexports::patterns::sequencer(2, None)).collect();
-    let grid = simap_bench::reexports::patterns::parallel("grid", &parts);
-    let config = ReachConfig::default();
-    let mut group = c.benchmark_group("elaborate/symbolic-count");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter("grid14"), |b| {
-        b.iter(|| {
-            let sym = simap_bench::reexports::reach_symbolic(std::hint::black_box(&grid), &config)
-                .expect("counts");
-            assert_eq!(sym.states, 4u64.pow(14));
-            sym.states
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_cold,
-    bench_warm,
-    bench_elaborate,
-    bench_strategy,
-    bench_symbolic_count
-);
+criterion_group!(benches, bench_cold, bench_warm, bench_elaborate, bench_strategy);
 criterion_main!(benches);

@@ -161,8 +161,7 @@ pub mod reexports {
     };
     pub use simap_sg::check_all;
     pub use simap_stg::{
-        all_benchmarks, benchmark, elaborate, elaborate_with, patterns, reach_symbolic,
-        ReachConfig, ReachStrategy, Stg,
+        all_benchmarks, benchmark, elaborate, elaborate_with, patterns, ReachConfig, ReachStrategy,
     };
 }
 

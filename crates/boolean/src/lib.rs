@@ -7,10 +7,7 @@
 //!
 //! Cube/cover functions are defined over at most [`cube::MAX_VARS`] (= 64)
 //! variables, which comfortably covers the asynchronous-benchmark state
-//! graphs the mapper targets. The [`bdd`] manager goes further
-//! ([`bdd::MAX_BDD_VARS`]) and ships the symbolic model-checking
-//! primitives — relational product, set quantification, variable renaming
-//! and set-restricted counting — used by the symbolic reachability engine.
+//! graphs the mapper targets.
 //!
 //! ```
 //! use simap_boolean::{Cover, Cube, Literal, algebraic_divide};
@@ -33,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bdd;
 pub mod cover;
 pub mod cube;
 pub mod divide;
@@ -42,7 +38,6 @@ pub mod factor;
 pub mod kernels;
 pub mod minimize;
 
-pub use bdd::{cover_matches_spec, Bdd, BddRef, VarSet, MAX_BDD_VARS};
 pub use cover::Cover;
 pub use cube::{Cube, Literal, MAX_VARS};
 pub use divide::{algebraic_divide, divide_by_cube, Division};

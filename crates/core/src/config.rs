@@ -164,12 +164,11 @@ impl Config {
         );
         let _ = write!(
             canon,
-            "reach={};rmax={};rtok={};rmat={};rbud={};rdir={:?};rshards={};rckevery={};\
+            "reach={};rmax={};rtok={};rbud={};rdir={:?};rshards={};rckevery={};\
              rckdir={:?};rresume={:?};cachecap={:?}",
             r.strategy,
             r.max_states,
             r.max_tokens,
-            r.materialize_limit,
             r.memory_budget,
             r.spill_dir,
             r.shards,
@@ -272,18 +271,10 @@ impl ConfigBuilder {
     }
 
     /// Reachability engine: the packed-state default, the explicit
-    /// differential oracle, or the symbolic BDD engine (shorthand for
+    /// differential oracle, or the disk-spilling engine (shorthand for
     /// [`Self::reach_config`]).
     pub fn reach_strategy(mut self, strategy: ReachStrategy) -> Self {
         self.config.reach.strategy = strategy;
-        self
-    }
-
-    /// Largest symbolically counted state space the symbolic strategy
-    /// materializes into an explicit state graph (shorthand for
-    /// [`Self::reach_config`]; ignored by the enumerative strategies).
-    pub fn reach_materialize_limit(mut self, n: usize) -> Self {
-        self.config.reach.materialize_limit = n;
         self
     }
 
@@ -373,9 +364,6 @@ impl ConfigBuilder {
         if c.reach.max_tokens == 0 {
             return fail("reachability max_tokens must be at least 1");
         }
-        if c.reach.materialize_limit == 0 {
-            return fail("reachability materialize_limit must be at least 1");
-        }
         if c.reach.memory_budget == 0 {
             return fail("reachability memory_budget must be at least 1 byte");
         }
@@ -418,7 +406,6 @@ mod tests {
             .verify_max_states(1234)
             .reach_max_states(5678)
             .reach_strategy(ReachStrategy::Explicit)
-            .reach_materialize_limit(4321)
             .reach_memory_budget(9 * 1024 * 1024)
             .reach_spill_dir(Some(std::path::PathBuf::from("/tmp/simap-test")))
             .reach_shards(3)
@@ -437,7 +424,6 @@ mod tests {
         assert_eq!(config.verify_config().max_states, 1234);
         assert_eq!(config.reach_config().max_states, 5678);
         assert_eq!(config.reach_config().strategy, ReachStrategy::Explicit);
-        assert_eq!(config.reach_config().materialize_limit, 4321);
         assert_eq!(config.reach_config().memory_budget, 9 * 1024 * 1024);
         assert_eq!(
             config.reach_config().spill_dir.as_deref(),
@@ -464,7 +450,6 @@ mod tests {
             Config::builder().or_limit(1),
             Config::builder().verify_max_states(0),
             Config::builder().reach_max_states(0),
-            Config::builder().reach_materialize_limit(0),
             Config::builder().reach_memory_budget(0),
             Config::builder().reach_shards(0),
             Config::builder().reach_checkpoint_every(4),
@@ -495,7 +480,7 @@ mod tests {
             Config::builder().verify(false).build().unwrap(),
             Config::builder().repair_csc(true).build().unwrap(),
             Config::builder().or_limit(2).build().unwrap(),
-            Config::builder().reach_strategy(ReachStrategy::Symbolic).build().unwrap(),
+            Config::builder().reach_strategy(ReachStrategy::Spill).build().unwrap(),
             Config::builder().reach_max_states(9999).build().unwrap(),
             Config::builder().reach_shards(4).build().unwrap(),
             Config::builder()

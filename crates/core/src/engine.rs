@@ -66,18 +66,13 @@ pub(crate) struct ElabKey {
     /// keying by strategy keeps those counters honest (and lets a
     /// differential harness elaborate both ways through one engine).
     reach_strategy: simap_stg::ReachStrategy,
-    /// The symbolic strategy's materialization threshold changes whether
-    /// an elaboration succeeds at all, so it participates too — but only
-    /// under [`simap_stg::ReachStrategy::Symbolic`]; the enumerative
-    /// engines ignore the knob, and keying it would cost them spurious
-    /// cache misses (normalized to 0 there).
-    reach_materialize_limit: usize,
     /// The spill engine's knobs, participating only under
-    /// [`simap_stg::ReachStrategy::Spill`] for the same reason: graphs
-    /// are byte-identical whatever the budget, but cached entries carry
-    /// the run's [`simap_stg::SpillCounters`], which the budget, shard
-    /// count and scratch directory all shape (normalized to `0`/`None`
-    /// under the in-memory strategies). The checkpoint knobs
+    /// [`simap_stg::ReachStrategy::Spill`]: graphs are byte-identical
+    /// whatever the budget, but cached entries carry the run's
+    /// [`simap_stg::SpillCounters`], which the budget, shard count and
+    /// scratch directory all shape. The in-memory strategies ignore these
+    /// knobs, and keying them would cost spurious cache misses, so they
+    /// are normalized to `0`/`None` there. The checkpoint knobs
     /// (`checkpoint_every`, `checkpoint_dir`, `resume`) are excluded: a
     /// resumed run is byte-identical to a cold one by
     /// contract, so a warm cache entry is exactly the result a resume
@@ -270,10 +265,6 @@ impl Engine {
             reach_max_states: config.reach.max_states,
             reach_max_tokens: config.reach.max_tokens,
             reach_strategy: config.reach.strategy,
-            reach_materialize_limit: match config.reach.strategy {
-                simap_stg::ReachStrategy::Symbolic => config.reach.materialize_limit,
-                _ => 0,
-            },
             reach_memory_budget: match config.reach.strategy {
                 simap_stg::ReachStrategy::Spill => config.reach.memory_budget,
                 _ => 0,
@@ -363,17 +354,11 @@ mod tests {
         let at3 = engine.with_config(Config::builder().literal_limit(3).build().unwrap());
         at3.benchmark("half").elaborate().unwrap();
         assert_eq!(engine.cache_stats().hits, 1);
-        // The materialization threshold only matters to the symbolic
-        // strategy: changing it under the packed default still hits.
-        let other_limit =
-            engine.with_config(Config::builder().reach_materialize_limit(123).build().unwrap());
-        other_limit.benchmark("half").elaborate().unwrap();
-        assert_eq!(engine.cache_stats().hits, 2);
         // Repair toggled: a different entry.
         let repairing = engine.with_config(Config::builder().repair_csc(true).build().unwrap());
         repairing.benchmark("half").elaborate().unwrap();
         let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
     }
 
     #[test]

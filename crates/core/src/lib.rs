@@ -44,7 +44,7 @@
 //! # Ok::<(), simap_core::Error>(())
 //! ```
 //!
-//! Elaboration runs on one of **four reachability strategies** selected
+//! Elaboration runs on one of **three reachability strategies** selected
 //! through [`ConfigBuilder::reach_strategy`]:
 //!
 //! * [`simap_stg::ReachStrategy::Packed`] (default) — bit-packed
@@ -52,15 +52,6 @@
 //!   fastest way to an explicit graph.
 //! * [`simap_stg::ReachStrategy::Explicit`] — the legacy explicit BFS,
 //!   kept as a differential oracle; byte-identical graphs and errors.
-//! * [`simap_stg::ReachStrategy::Symbolic`] — BDD fixed-point
-//!   reachability for 1-safe nets ([`simap_stg::symbolic`]). It wins
-//!   when the *size* of the state space is the question: the exact count
-//!   and the CSC verdict come out of the Boolean representation without
-//!   enumerating a marking, so nets past the enumerative `StateLimit`
-//!   stay analyzable through [`simap_stg::reach_symbolic`]. An explicit
-//!   graph (byte-identical to the other strategies, with the symbolic
-//!   count cross-checked) is materialized only up to
-//!   [`ConfigBuilder::reach_materialize_limit`].
 //! * [`simap_stg::ReachStrategy::Spill`] — the packed engine with an
 //!   external-memory working set ([`simap_stg::extmem`]): marking pages,
 //!   frontier runs and the edge log cycle through scratch files so the
@@ -71,7 +62,7 @@
 //!   state space is larger than RAM; expect scratch traffic on the
 //!   order of the arena plus 16 bytes per edge.
 //!
-//! All four produce the same graphs and agree on error families; the
+//! All three produce the same graphs and errors; the
 //! strategy — and its strategy-specific knobs — are part of the
 //! elaboration cache key. [`Elaborated::reach_stats`] exposes the
 //! visited/interned/edge counters of the run that produced a graph
@@ -129,7 +120,9 @@
 //! a note naming its replacement, and is removed after one minor release.
 //! The 0.2/0.3 shims (the flow-level free function and the per-stage
 //! `Synthesis`/`Batch` setters) completed that cycle and were removed in
-//! 0.12; configure runs through [`Config`]. Algorithm
+//! 0.12; configure runs through [`Config`]. The BDD-based symbolic
+//! reachability strategy was removed in 0.13 without a deprecation
+//! cycle, since no caller selected it. Algorithm
 //! primitives ([`mc::synthesize_mc`], [`csc::repair_csc`],
 //! [`insertion::compute_insertion`], [`flow::build_circuit`], …) are the
 //! stable substrate the pipeline itself is built on.

@@ -111,7 +111,6 @@ fn apply_config_field(
             let strategy: ReachStrategy = expect_str(key, value)?.parse()?;
             builder.reach_strategy(strategy)
         }
-        "materialize_limit" => builder.reach_materialize_limit(expect_usize(key, value)?),
         "memory_budget" => builder.reach_memory_budget(expect_usize(key, value)?),
         "shards" => builder.reach_shards(expect_usize(key, value)?),
         // Scratch placement is an operator decision: clients must not
@@ -286,7 +285,7 @@ mod tests {
 
         let (work, mode) = parse_synthesize(
             br#"{"g_source":".model x\n.end","literal_limit":3,"verify":false,
-                 "strategy":"symbolic","async":true}"#,
+                 "strategy":"explicit","async":true}"#,
             &base,
         )
         .unwrap();
@@ -295,7 +294,7 @@ mod tests {
             Work::Synthesize { source: WorkSource::GSource(_), config } => {
                 assert_eq!(config.literal_limit(), 3);
                 assert!(!config.verify());
-                assert_eq!(config.reach_config().strategy, ReachStrategy::Symbolic);
+                assert_eq!(config.reach_config().strategy, ReachStrategy::Explicit);
             }
             other => panic!("{other:?}"),
         }
@@ -322,11 +321,13 @@ mod tests {
         for (body, fragment) in [
             (&br#"{"unknown":1,"bench":"half"}"#[..], "unknown field `unknown`"),
             (br#"{"reach_jobs":2,"bench":"half"}"#, "unknown field `reach_jobs`"),
+            (br#"{"bench":"a","materialize_limit":5}"#, "unknown field `materialize_limit`"),
             (br#"{}"#, "`bench` or `g_source` is required"),
             (br#"{"bench":"a","g_source":"b"}"#, "mutually exclusive"),
             (br#"{"bench":"a","async":true,"stream":true}"#, "mutually exclusive"),
             (br#"{"bench":"a","literal_limit":1}"#, "literal_limit"),
             (br#"{"bench":"a","strategy":"warp"}"#, "unknown reachability strategy"),
+            (br#"{"bench":"a","strategy":"symbolic"}"#, "unknown reachability strategy"),
             (br#"{"bench":"a","spill_dir":"/etc"}"#, "not accepted over the API"),
             (br#"{"bench":"a","checkpoint_dir":"/etc"}"#, "not accepted over the API"),
             (br#"{"bench":"a","checkpoint_every":4}"#, "not accepted over the API"),

@@ -176,22 +176,6 @@ a- p
     }
 
     #[test]
-    fn symbolic_strategy_analyzes_identically() {
-        use crate::reach::ReachStrategy;
-        let stg = crate::patterns::pipeline(3);
-        let packed = analyze(&stg, &ReachConfig::default()).unwrap();
-        let symbolic = analyze(
-            &stg,
-            &ReachConfig { strategy: ReachStrategy::Symbolic, ..ReachConfig::default() },
-        )
-        .unwrap();
-        assert_eq!(packed.markings, symbolic.markings);
-        assert_eq!(packed.safe, symbolic.safe);
-        assert_eq!(packed.dead_transitions, symbolic.dead_transitions);
-        assert_eq!(packed.choice_places, symbolic.choice_places);
-    }
-
-    #[test]
     fn every_benchmark_is_safe_and_live() {
         for b in crate::benchmarks::all_benchmarks() {
             let a = analyze(&b.stg, &ReachConfig::default())

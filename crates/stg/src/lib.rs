@@ -18,7 +18,7 @@
 //!
 //! ## Reachability strategies
 //!
-//! Elaboration runs on one of four engines selected by
+//! Elaboration runs on one of three engines selected by
 //! [`ReachConfig::strategy`]:
 //!
 //! * [`ReachStrategy::Packed`] (default) — markings are bit-packed `u64`
@@ -30,24 +30,12 @@
 //!   you need an independent oracle: it shares almost no code with the
 //!   packed engine yet must produce byte-identical graphs and errors,
 //!   which is exactly what `tests/reach_differential.rs` checks.
-//! * [`ReachStrategy::Symbolic`] — BDD fixed-point reachability for
-//!   1-safe nets ([`symbolic`]): the reachable set as a Boolean function
-//!   over an interleaved current/next variable order, images by
-//!   relational product. It wins when the state space, not the graph, is
-//!   the question — the exact count, per-signal excitation/quiescence
-//!   region sizes and the CSC conflict codes come straight out of the
-//!   BDD, so nets past the enumerative [`ReachError::StateLimit`] remain
-//!   analyzable through [`reach_symbolic`]. An explicit graph
-//!   (byte-identical to the other strategies, with the symbolic count
-//!   cross-checked against the packed core) is materialized only up to
-//!   [`ReachConfig::materialize_limit`].
 //! * [`ReachStrategy::Spill`] — the external-memory engine ([`extmem`]):
 //!   the packed token game with a file-backed sharded state arena, a
 //!   spill-to-disk BFS frontier and a spilled edge log, so peak resident
 //!   memory is bounded by [`ReachConfig::memory_budget`] instead of by
 //!   the state count. Reach for it when a net you need *materialized*
-//!   (regions, CSC, mapping — not just counted) outgrows RAM or the
-//!   symbolic engine's [`ReachConfig::materialize_limit`]; expect
+//!   (regions, CSC, mapping) outgrows RAM; expect
 //!   scratch-disk usage in [`ReachConfig::spill_dir`] on the order of
 //!   `states × (marking + enabled-mask bytes)` plus two words per edge,
 //!   all removed when the run ends. Knobs: [`ReachConfig::memory_budget`]
@@ -76,14 +64,8 @@
 //! Checkpoints are cut at level boundaries only, so they are always
 //! level-consistent.
 //!
-//! The enumerative strategies explore in the same BFS order, so graphs,
-//! state numbering and [`ReachError`] values never depend on the engine
-//! — and symbolic materialization
-//! reuses the packed core, so the guarantee extends to all three for
-//! 1-safe nets. The one divergence is the symbolic scope boundary:
-//! nets that are not 1-safe fail fast with [`ReachError::NotSafe`]
-//! where the enumerative engines would go on to succeed or report
-//! `Unbounded`/`StateLimit`/`Inconsistent`.
+//! All three strategies explore in the same BFS order, so graphs,
+//! state numbering and [`ReachError`] values never depend on the engine.
 //! [`elaborate_with_stats`] additionally reports visited/interned/edge
 //! counters for observability.
 
@@ -97,7 +79,6 @@ pub mod parse;
 pub mod patterns;
 pub mod petri;
 pub mod reach;
-pub mod symbolic;
 pub mod write;
 
 pub use analysis::{analyze, StgAnalysis};
@@ -111,5 +92,4 @@ pub use reach::{
     elaborate, elaborate_with, elaborate_with_stats, ReachConfig, ReachError, ReachStats,
     ReachStrategy,
 };
-pub use symbolic::{reach_symbolic, SymbolicReach, SymbolicRegions, MAX_CONFLICT_CODES};
 pub use write::write_g;

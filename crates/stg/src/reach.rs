@@ -26,24 +26,6 @@
 //! and serves as the differential-testing oracle for the packed engine
 //! (see `tests/reach_differential.rs`); both strategies produce
 //! byte-identical state graphs and identical [`ReachError`] values.
-//!
-//! # The symbolic engine
-//!
-//! [`ReachStrategy::Symbolic`] ([`crate::symbolic`]) never enumerates
-//! markings at all: for 1-safe nets it encodes states as Boolean vectors,
-//! compiles every transition into a BDD (guard, update) relation and runs
-//! fixed-point image computation over the full reachable set. The exact
-//! state count comes out of a BDD satisfy-count, so nets whose reachable
-//! sets blow past [`ReachError::StateLimit`] for the enumerative engines
-//! stay analyzable (count, per-signal regions, CSC verdict) through
-//! [`crate::symbolic::reach_symbolic`]. An explicit [`StateGraph`] is
-//! materialized — through the same packed core, so graphs stay
-//! byte-identical across all three strategies and the independently
-//! computed symbolic count cross-checks the enumerative one — only when
-//! the state count is at most [`ReachConfig::materialize_limit`];
-//! above it, elaboration reports [`ReachError::MaterializeLimit`] while
-//! the summary API still answers. Nets that are not 1-safe are out of the
-//! symbolic engine's scope and rejected as [`ReachError::NotSafe`].
 
 use crate::petri::{PlaceId, Stg, TransitionId};
 use simap_sg::{check_consistency, StateGraph, StateId};
@@ -64,12 +46,6 @@ pub enum ReachStrategy {
     /// interning). Slower, but simple enough to audit by eye — the
     /// differential oracle the packed engine is tested against.
     Explicit,
-    /// BDD-based symbolic reachability for 1-safe nets
-    /// ([`crate::symbolic`]): the exact reachable set as a Boolean
-    /// function, counted without enumeration; the state graph is
-    /// materialized (byte-identically to the other strategies) only up to
-    /// [`ReachConfig::materialize_limit`].
-    Symbolic,
     /// External-memory sharded reachability ([`crate::extmem`]): the
     /// packed engine's marking layout over a file-backed paged arena,
     /// hash-partitioned intern shards, and a spill-to-disk frontier and
@@ -84,7 +60,6 @@ impl fmt::Display for ReachStrategy {
         f.write_str(match self {
             ReachStrategy::Packed => "packed",
             ReachStrategy::Explicit => "explicit",
-            ReachStrategy::Symbolic => "symbolic",
             ReachStrategy::Spill => "spill",
         })
     }
@@ -97,11 +72,10 @@ impl std::str::FromStr for ReachStrategy {
         match s {
             "packed" => Ok(ReachStrategy::Packed),
             "explicit" => Ok(ReachStrategy::Explicit),
-            "symbolic" => Ok(ReachStrategy::Symbolic),
             "spill" => Ok(ReachStrategy::Spill),
-            other => Err(format!(
-                "unknown reachability strategy `{other}` (packed|explicit|symbolic|spill)"
-            )),
+            other => {
+                Err(format!("unknown reachability strategy `{other}` (packed|explicit|spill)"))
+            }
         }
     }
 }
@@ -115,13 +89,6 @@ pub struct ReachConfig {
     pub max_tokens: u8,
     /// The exploration engine (packed arena vs explicit oracle).
     pub strategy: ReachStrategy,
-    /// Largest symbolically counted state space the symbolic strategy
-    /// will materialize into an explicit [`StateGraph`]; above it,
-    /// elaboration fails with [`ReachError::MaterializeLimit`] while
-    /// [`crate::symbolic::reach_symbolic`] still reports the exact count
-    /// and the CSC verdict. The enumerative strategies ignore this knob
-    /// (their [`ReachConfig::max_states`] plays the same guarding role).
-    pub materialize_limit: usize,
     /// Resident-memory budget in bytes for the spill strategy's working
     /// set (arena page cache, frontier buffers, edge log buffer). When
     /// the working set would exceed the budget, pages and run files move
@@ -164,7 +131,6 @@ impl Default for ReachConfig {
             max_states: 500_000,
             max_tokens: 7,
             strategy: ReachStrategy::default(),
-            materialize_limit: 1_000_000,
             memory_budget: 256 * 1024 * 1024,
             spill_dir: None,
             shards: 8,
@@ -216,25 +182,6 @@ pub enum ReachError {
         /// Description of the first offending arc.
         detail: String,
     },
-    /// The net is not 1-safe, so the symbolic engine's one-bit-per-place
-    /// encoding cannot represent it (the enumerative strategies handle
-    /// multi-token places up to [`ReachConfig::max_tokens`]).
-    NotSafe {
-        /// Name of the first place observed holding (or about to hold)
-        /// more than one token.
-        place: String,
-    },
-    /// The symbolically counted state space is real but too large to
-    /// materialize as an explicit state graph
-    /// ([`ReachConfig::materialize_limit`]). The count itself — and the
-    /// region/CSC analysis — remains available through
-    /// [`crate::symbolic::reach_symbolic`].
-    MaterializeLimit {
-        /// The exact symbolic state count.
-        states: u64,
-        /// The configured materialization threshold it exceeded.
-        limit: usize,
-    },
     /// The underlying state-graph builder failed (e.g. > 64 signals).
     Build(String),
     /// The spill strategy could not read or write its scratch files
@@ -269,17 +216,6 @@ impl fmt::Display for ReachError {
                  marking(s) were fully explored; raise ReachConfig::max_states to go further)"
             ),
             ReachError::Inconsistent { detail } => write!(f, "inconsistent STG: {detail}"),
-            ReachError::NotSafe { place } => write!(
-                f,
-                "place `{place}` can hold more than one token: the symbolic engine only \
-                 supports 1-safe nets (use the packed or explicit strategy)"
-            ),
-            ReachError::MaterializeLimit { states, limit } => write!(
-                f,
-                "{states} reachable markings exceed the materialization threshold of {limit}; \
-                 raise ReachConfig::materialize_limit or use the symbolic summary \
-                 (simap_stg::symbolic::reach_symbolic) for counts without a graph"
-            ),
             ReachError::Build(msg) => write!(f, "state graph construction failed: {msg}"),
             ReachError::Spill { detail } => write!(
                 f,
@@ -438,7 +374,6 @@ pub(crate) fn explore(stg: &Stg, config: &ReachConfig) -> Result<Exploration, Re
     match config.strategy {
         ReachStrategy::Packed => explore_packed(stg, config),
         ReachStrategy::Explicit => explore_explicit(stg, config),
-        ReachStrategy::Symbolic => crate::symbolic::explore_symbolic(stg, config),
         ReachStrategy::Spill => crate::extmem::explore_spill(stg, config),
     }
 }
@@ -1356,31 +1291,13 @@ a- p
     fn strategy_parses_and_displays() {
         assert_eq!("packed".parse::<ReachStrategy>().unwrap(), ReachStrategy::Packed);
         assert_eq!("explicit".parse::<ReachStrategy>().unwrap(), ReachStrategy::Explicit);
-        assert_eq!("symbolic".parse::<ReachStrategy>().unwrap(), ReachStrategy::Symbolic);
         assert_eq!("spill".parse::<ReachStrategy>().unwrap(), ReachStrategy::Spill);
-        assert!("fancy".parse::<ReachStrategy>().is_err());
+        assert_eq!(
+            "symbolic".parse::<ReachStrategy>().unwrap_err(),
+            "unknown reachability strategy `symbolic` (packed|explicit|spill)"
+        );
         assert_eq!(ReachStrategy::Packed.to_string(), "packed");
-        assert_eq!(ReachStrategy::Symbolic.to_string(), "symbolic");
         assert_eq!(ReachStrategy::Spill.to_string(), "spill");
         assert_eq!(ReachStrategy::default(), ReachStrategy::Packed);
-    }
-
-    #[test]
-    fn symbolic_error_messages_name_the_context() {
-        // Satellite pin: the symbolic-only error family names the place /
-        // the counts and points at the escape hatch.
-        let err = ReachError::NotSafe { place: "q".to_string() };
-        assert_eq!(
-            err.to_string(),
-            "place `q` can hold more than one token: the symbolic engine only supports \
-             1-safe nets (use the packed or explicit strategy)"
-        );
-        let err = ReachError::MaterializeLimit { states: 1 << 22, limit: 1000 };
-        assert_eq!(
-            err.to_string(),
-            "4194304 reachable markings exceed the materialization threshold of 1000; raise \
-             ReachConfig::materialize_limit or use the symbolic summary \
-             (simap_stg::symbolic::reach_symbolic) for counts without a graph"
-        );
     }
 }

@@ -10,8 +10,7 @@
 //! simap serve [options]               host the flow as an HTTP service
 //!
 //! engine options (check, map and bench run):
-//!       --strategy <s>   reachability engine: packed (default) | explicit | symbolic | spill
-//!       --materialize-limit <n>  symbolic: largest state space built explicitly
+//!       --strategy <s>   reachability engine: packed (default) | explicit | spill
 //!       --memory-budget <b>  spill: resident working-set cap (e.g. 256MiB)
 //!       --spill-dir <d>  spill: scratch directory (default: system temp)
 //!       --shards <n>     spill: hash partitions of the intern table
@@ -71,8 +70,9 @@
 //! down gracefully — draining accepted jobs — on SIGTERM or ctrl-c, and
 //! reloads the API keyfile in place on SIGHUP.
 //!
-//! Unknown flags and flags missing their value are rejected with an
-//! error (exit code 1) instead of being silently ignored.
+//! Unknown flags, flags missing their value and values that do not parse
+//! are rejected with an error naming the flag (exit code 1) instead of
+//! being silently ignored.
 
 use simap::core::{benchmarks_json, dossier, report_json, to_csv, to_json, to_markdown};
 use simap::netlist::to_verilog;
@@ -147,6 +147,20 @@ impl Parsed {
         // Last occurrence wins, matching common CLI conventions.
         self.values.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
     }
+
+    /// The value of `name` parsed as a `T`, or `None` when the flag is
+    /// absent.
+    ///
+    /// # Errors
+    /// ``bad --<flag> `<value>`: <cause>`` when the value does not parse.
+    fn value_as<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name)
+            .map(|v| v.parse().map_err(|e| format!("bad {name} `{v}`: {e}")))
+            .transpose()
+    }
 }
 
 /// Parses `args` against the accepted `specs`.
@@ -214,7 +228,6 @@ fn parse_bytes(spec: &str) -> Result<usize, String> {
 /// them.
 const ENGINE_FLAGS: &[FlagSpec] = &[
     valued("--strategy"),
-    valued("--materialize-limit"),
     valued("--memory-budget"),
     valued("--spill-dir"),
     valued("--shards"),
@@ -233,20 +246,17 @@ fn reach_flags(
     if let Some(strategy) = parsed.value("--strategy") {
         builder = builder.reach_strategy(strategy.parse::<simap::ReachStrategy>()?);
     }
-    if let Some(limit) = parsed.value("--materialize-limit") {
-        builder = builder.reach_materialize_limit(limit.parse()?);
-    }
     if let Some(budget) = parsed.value("--memory-budget") {
         builder = builder.reach_memory_budget(parse_bytes(budget)?);
     }
     if let Some(dir) = parsed.value("--spill-dir") {
         builder = builder.reach_spill_dir(Some(std::path::PathBuf::from(dir)));
     }
-    if let Some(shards) = parsed.value("--shards") {
-        builder = builder.reach_shards(shards.parse()?);
+    if let Some(shards) = parsed.value_as("--shards")? {
+        builder = builder.reach_shards(shards);
     }
-    if let Some(every) = parsed.value("--checkpoint-every") {
-        builder = builder.reach_checkpoint_every(every.parse()?);
+    if let Some(every) = parsed.value_as("--checkpoint-every")? {
+        builder = builder.reach_checkpoint_every(every);
     }
     if let Some(dir) = parsed.value("--checkpoint-dir") {
         builder = builder.reach_checkpoint_dir(Some(std::path::PathBuf::from(dir)));
@@ -325,11 +335,11 @@ fn map(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         &parsed,
         Config::builder().repair_csc(parsed.has("--csc-repair")).verify(!parsed.has("--no-verify")),
     )?;
-    if let Some(limit) = parsed.value("--limit") {
-        builder = builder.literal_limit(limit.parse()?);
+    if let Some(limit) = parsed.value_as("--limit")? {
+        builder = builder.literal_limit(limit);
     }
-    if let Some(limit) = parsed.value("--or-limit") {
-        builder = builder.or_limit(limit.parse()?);
+    if let Some(limit) = parsed.value_as("--or-limit")? {
+        builder = builder.or_limit(limit);
     }
     let config = builder.build()?;
 
@@ -417,8 +427,8 @@ fn gen(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     if let Some(p) = parsed.positionals.first() {
         return Err(format!("unexpected argument `{p}` (gen takes only flags)").into());
     }
-    let seed: u64 = parsed.value("--seed").map(str::parse).transpose()?.unwrap_or(0);
-    let count: usize = parsed.value("--count").map(str::parse).transpose()?.unwrap_or(1);
+    let seed: u64 = parsed.value_as("--seed")?.unwrap_or(0);
+    let count: usize = parsed.value_as("--count")?.unwrap_or(1);
     let out_dir = parsed.value("--out-dir");
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
@@ -465,10 +475,7 @@ fn bench_run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             .map_err(|e| format!("bad --limits `{spec}`: {e}"))?,
         None => vec![2],
     };
-    if limits.is_empty() {
-        return Err("--limits needs at least one limit".into());
-    }
-    let jobs: usize = parsed.value("--jobs").map(str::parse).transpose()?.unwrap_or(1);
+    let jobs: usize = parsed.value_as("--jobs")?.unwrap_or(1);
 
     let config = reach_flags(
         &parsed,
@@ -525,38 +532,19 @@ fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let defaults = simap::serve::ServeConfig::default();
     let config = simap::serve::ServeConfig {
         addr: parsed.value("--addr").map(str::to_string).unwrap_or(defaults.addr),
-        jobs: parsed.value("--jobs").map(str::parse).transpose()?.unwrap_or(defaults.jobs),
-        queue_limit: parsed
-            .value("--queue-limit")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(defaults.queue_limit),
+        jobs: parsed.value_as("--jobs")?.unwrap_or(defaults.jobs),
+        queue_limit: parsed.value_as("--queue-limit")?.unwrap_or(defaults.queue_limit),
         api_keys: parsed.value("--api-keys").map(std::path::PathBuf::from),
-        rate_limit: parsed
-            .value("--rate-limit")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(defaults.rate_limit),
-        max_inflight: parsed
-            .value("--max-inflight")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(defaults.max_inflight),
+        rate_limit: parsed.value_as("--rate-limit")?.unwrap_or(defaults.rate_limit),
+        max_inflight: parsed.value_as("--max-inflight")?.unwrap_or(defaults.max_inflight),
         cache_dir: parsed.value("--cache-dir").map(std::path::PathBuf::from),
-        cache_limit: parsed
-            .value("--cache-limit")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(defaults.cache_limit),
+        cache_limit: parsed.value_as("--cache-limit")?.unwrap_or(defaults.cache_limit),
         breaker_threshold: parsed
-            .value("--breaker-threshold")
-            .map(str::parse)
-            .transpose()?
+            .value_as("--breaker-threshold")?
             .unwrap_or(defaults.breaker_threshold),
         breaker_cooldown: parsed
-            .value("--breaker-cooldown")
-            .map(|s| s.parse::<u64>().map(std::time::Duration::from_secs))
-            .transpose()?
+            .value_as("--breaker-cooldown")?
+            .map(std::time::Duration::from_secs)
             .unwrap_or(defaults.breaker_cooldown),
         job_expiry: defaults.job_expiry,
         config: defaults.config,

@@ -110,22 +110,18 @@
 //! # Ok::<(), simap::Error>(())
 //! ```
 //!
-//! Cold elaboration runs on one of four reachability strategies (see
+//! Cold elaboration runs on one of three reachability strategies (see
 //! [`simap_stg::reach`] for the full selection guide): the packed-state
 //! default — bit-packed markings in a contiguous arena with
 //! mask-compiled transitions; the legacy explicit
 //! BFS ([`ReachStrategy::Explicit`]), an independent differential
-//! oracle for validating changes to the hot path; the symbolic BDD
-//! engine ([`ReachStrategy::Symbolic`]), which represents the reachable
-//! set of a 1-safe net as a Boolean function — exact state counts and
-//! CSC verdicts without enumerating a marking; and the external-memory
+//! oracle for validating changes to the hot path; and the external-memory
 //! spill engine ([`ReachStrategy::Spill`]), which keeps the packed
 //! engine's semantics and numbering but bounds the resident working set
 //! by [`ConfigBuilder::reach_memory_budget`], cycling marking pages,
 //! frontier runs and the edge log through scratch files
 //! ([`ConfigBuilder::reach_spill_dir`]) so nets larger than RAM still
-//! *materialize* — the door to synthesizing, not just counting, huge
-//! specifications:
+//! *materialize* — the door to synthesizing huge specifications:
 //!
 //! ```
 //! use simap::{Config, Engine, ReachStrategy};
@@ -138,30 +134,8 @@
 //! # Ok::<(), simap::Error>(())
 //! ```
 //!
-//! The symbolic engine is the door to state spaces no enumerative engine
-//! can touch: [`simap_stg::reach_symbolic`] reports the exact count,
-//! per-signal excitation/quiescence regions and CSC conflict codes of
-//! spaces with billions of markings, and materializes an explicit
-//! [`sg::StateGraph`] — byte-identical to the other strategies — only
-//! while the count stays under
-//! [`ConfigBuilder::reach_materialize_limit`]:
-//!
-//! ```
-//! use simap::stg::{patterns, reach_symbolic, ReachConfig};
-//!
-//! // Ten independent 4-state rings: 4^10 ≈ 1M markings, counted exactly.
-//! let parts: Vec<_> = (0..10).map(|_| patterns::sequencer(2, None)).collect();
-//! let grid = patterns::parallel("grid", &parts);
-//! let sym = reach_symbolic(&grid, &ReachConfig { max_states: 1000, ..Default::default() })?;
-//! assert_eq!(sym.states, 4u64.pow(10));
-//! assert!(sym.graph.is_none(), "too big to materialize, still analyzable");
-//! assert!(sym.csc_conflict_codes.is_empty());
-//! # Ok::<(), simap::stg::ReachError>(())
-//! ```
-//!
-//! When the flow needs the *graph* of such a net — synthesis does — the
-//! spill engine builds it with a bounded resident set, byte-identical
-//! to the packed default:
+//! The spill engine builds the graph with a bounded resident set,
+//! byte-identical to the packed default:
 //!
 //! ```
 //! use simap::stg::{benchmark, elaborate_with_stats};
@@ -297,7 +271,10 @@
 //! release. The 0.2/0.3 configuration shims (the flow-level free
 //! function and the per-stage `Synthesis`/`Batch` setters) were removed
 //! in 0.12: configure runs through [`Config`] +
-//! [`Synthesis::config`] / [`Batch::config`]. Algorithm primitives
+//! [`Synthesis::config`] / [`Batch::config`]. The BDD-based symbolic
+//! reachability strategy was removed in 0.13 without a deprecation
+//! cycle: no benchmark, workload or caller selected it, and the packed
+//! engine was faster on every embedded benchmark. Algorithm primitives
 //! (`synthesize_mc`, `repair_csc`, `compute_insertion`, `build_circuit`,
 //! …) are the stable substrate the pipeline is built on.
 

@@ -128,6 +128,7 @@ fn cli_rejects_unknown_flags_in_subcommands() {
         (vec!["bench", "run", "half", "--reach-jobs", "2"], "--reach-jobs"),
         (vec!["bench", "run", "half", "--synth-jobs", "2"], "--synth-jobs"),
         (vec!["bench", "run", "half", "--record", "out.json"], "--record"),
+        (vec!["check", "--bench", "half", "--materialize-limit", "5"], "--materialize-limit"),
     ] {
         let out = simap(&args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -138,10 +139,37 @@ fn cli_rejects_unknown_flags_in_subcommands() {
 
 #[test]
 fn cli_rejects_invalid_config_values() {
-    let out = simap(&["map", "--bench", "half", "--limit", "1"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("invalid configuration"), "{stderr}");
+    for (args, fragment) in [
+        (vec!["map", "--bench", "half", "--limit", "1"], "invalid configuration"),
+        (
+            vec!["check", "--bench", "half", "--strategy", "symbolic"],
+            "unknown reachability strategy",
+        ),
+    ] {
+        let out = simap(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(fragment), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn cli_number_parse_errors_name_the_flag() {
+    for (args, expected) in [
+        (vec!["serve", "--jobs", "x"], "bad --jobs `x`: invalid digit found in string"),
+        (vec!["gen", "--seed", "-1"], "bad --seed `-1`: invalid digit found in string"),
+        (vec!["check", "--bench", "half", "--shards", "x"], "bad --shards `x`: invalid digit"),
+        (vec!["bench", "run", "half", "--jobs", "x"], "bad --jobs `x`: invalid digit"),
+        (
+            vec!["map", "--bench", "half", "--limit", "99999999999999999999"],
+            "bad --limit `99999999999999999999`: number too large",
+        ),
+    ] {
+        let out = simap(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! sequential batches emit byte-identical reports.
 
 use simap::core::{report_json, to_csv, to_markdown};
-use simap::{Config, Engine, Error, EventObserver, FlowEvent, Stage, Synthesis};
+use simap::{
+    Config, Engine, Error, EventObserver, FlowEvent, ReachConfig, ReachStrategy, Stage, Synthesis,
+};
 use std::sync::{Arc, Mutex};
 
 #[test]
@@ -158,6 +160,92 @@ fn reach_limit_is_honored_through_config() {
     let err = Engine::new(config).synthesize("hazard").unwrap_err();
     assert!(matches!(err, Error::Elaborate(_)), "{err}");
     assert_eq!(err.stage(), Stage::Elaborate);
+}
+
+fn strategy_config(strategy: ReachStrategy) -> Config {
+    Config::builder().reach_strategy(strategy).build().unwrap()
+}
+
+/// The whole flow runs on every reachability strategy and produces the
+/// same circuit as the packed default.
+#[test]
+fn pipeline_runs_on_every_strategy() {
+    let packed = Engine::new(Config::default());
+    for strategy in [ReachStrategy::Explicit, ReachStrategy::Spill] {
+        let engine = Engine::new(strategy_config(strategy));
+        for name in ["hazard", "half", "dff"] {
+            let s = engine.synthesize(name).unwrap_or_else(|e| panic!("{strategy} {name}: {e}"));
+            let p = packed.synthesize(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(s.inserted, p.inserted, "{strategy} {name}");
+            assert_eq!(s.si_cost, p.si_cost, "{strategy} {name}");
+            assert_eq!(s.non_si_cost, p.non_si_cost, "{strategy} {name}");
+            assert_eq!(s.verified, p.verified, "{strategy} {name}");
+        }
+    }
+}
+
+/// The strategy is part of the cache key, and hits replay the stats of
+/// the run that filled the entry.
+#[test]
+fn engine_caches_each_strategy_separately() {
+    let engine = Engine::new(strategy_config(ReachStrategy::Explicit));
+    let first = engine.benchmark("half").elaborate().unwrap();
+    assert_eq!(first.reach_stats().unwrap().strategy, ReachStrategy::Explicit);
+    let again = engine.benchmark("half").elaborate().unwrap();
+    assert_eq!(again.reach_stats().unwrap().strategy, ReachStrategy::Explicit);
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+
+    let packed = engine.with_config(Config::default());
+    let other = packed.benchmark("half").elaborate().unwrap();
+    assert_eq!(other.reach_stats().unwrap().strategy, ReachStrategy::Packed);
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+}
+
+/// The spill knobs key the cache only under the spill strategy: the
+/// in-memory strategies ignore them, so a different budget is a hit.
+#[test]
+fn spill_knobs_key_the_cache_only_under_spill() {
+    let engine = Engine::new(Config::default());
+    engine.benchmark("half").elaborate().unwrap();
+    let budget = |strategy, bytes| {
+        Config::builder().reach_strategy(strategy).reach_memory_budget(bytes).build().unwrap()
+    };
+    engine.with_config(budget(ReachStrategy::Packed, 4096)).benchmark("half").elaborate().unwrap();
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+
+    let default_budget = ReachConfig::default().memory_budget;
+    for bytes in [default_budget, 4096] {
+        let spilled = engine.with_config(budget(ReachStrategy::Spill, bytes));
+        let elaborated = spilled.benchmark("half").elaborate().unwrap();
+        assert!(elaborated.reach_stats().unwrap().spill.is_some(), "budget {bytes}");
+    }
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
+}
+
+/// `Elaborated::reach_stats` names the strategy through the whole stack,
+/// and every strategy's counters agree with the packed run's.
+#[test]
+fn reach_stats_flow_through_the_pipeline() {
+    let packed = Engine::new(Config::default()).benchmark("vbe5b").elaborate().unwrap();
+    let p = packed.reach_stats().unwrap();
+    assert_eq!(p.strategy, ReachStrategy::Packed);
+    assert!(p.spill.is_none());
+    for strategy in [ReachStrategy::Explicit, ReachStrategy::Spill] {
+        let other = Engine::new(strategy_config(strategy)).benchmark("vbe5b").elaborate().unwrap();
+        let s = other.reach_stats().unwrap();
+        assert_eq!(s.strategy, strategy);
+        assert_eq!(s.spill.is_some(), strategy == ReachStrategy::Spill, "{strategy}");
+        assert_eq!(
+            (s.visited, s.interned, s.edges),
+            (p.visited, p.interned, p.edges),
+            "{strategy}"
+        );
+        assert_eq!(other.state_graph().state_count(), packed.state_graph().state_count());
+    }
 }
 
 /// Runs one flow, returning the JSON report (or the error rendering) plus

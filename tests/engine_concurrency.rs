@@ -92,7 +92,7 @@ fn threads_hammering_one_engine_match_sequential_reports() {
 fn mixed_strategies_share_the_engine_without_cross_talk() {
     use simap::ReachStrategy;
     let engine = Engine::new(config_at(2));
-    let strategies = [ReachStrategy::Packed, ReachStrategy::Explicit, ReachStrategy::Symbolic];
+    let strategies = [ReachStrategy::Packed, ReachStrategy::Explicit];
     let reference: Vec<String> = strategies
         .iter()
         .map(|&s| {
@@ -100,8 +100,8 @@ fn mixed_strategies_share_the_engine_without_cross_talk() {
             report_json(&engine.with_config(config).synthesize("hazard").unwrap())
         })
         .collect();
-    // All three strategies produce the same graph, costs and counts; only
-    // the reported strategy name differs.
+    // Both strategies produce the same graph, costs and counts; only the
+    // reported strategy name differs.
     for window in reference.windows(2) {
         let strip = |s: &str| s.split("\"strategy\"").next().unwrap().to_string();
         assert_eq!(strip(&window[0]), strip(&window[1]));

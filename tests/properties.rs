@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use simap::boolean::{
-    algebraic_divide, generate_divisors, good_factor, Cover, Cube, DivisorConfig, Literal,
-    MinimizeProblem,
+    algebraic_divide, generate_divisors, good_factor, minimize_onoff, Cover, Cube, DivisorConfig,
+    Literal, MinimizeProblem,
 };
 use simap::sg::check_all;
 use simap::stg::{elaborate, patterns};
@@ -101,6 +101,89 @@ proptest! {
         }
     }
 
+    /// Cube set operations agree with their minterm sets: intersection
+    /// is pointwise conjunction, `intersects`/`distance` detect a shared
+    /// minterm, `contains` is minterm inclusion, and the common-literal
+    /// cube holds wherever either cube does.
+    #[test]
+    fn cube_ops_are_pointwise(a in arb_cube(), b in arb_cube()) {
+        let meet = a.intersect(&b);
+        let common = a.common_literals(&b);
+        let mut shared = false;
+        let mut b_within_a = true;
+        for code in 0..(1u64 << NVARS) {
+            let both = a.eval(code) && b.eval(code);
+            prop_assert_eq!(meet.is_some_and(|m| m.eval(code)), both, "code {:b}", code);
+            prop_assert!(!(a.eval(code) || b.eval(code)) || common.eval(code));
+            shared |= both;
+            b_within_a &= !b.eval(code) || a.eval(code);
+        }
+        prop_assert_eq!(a.intersects(&b), shared);
+        prop_assert_eq!(a.distance(&b) == 0, shared);
+        prop_assert_eq!(a.contains(&b), b_within_a);
+    }
+
+    /// Conjoining a cover with a cube is pointwise conjunction.
+    #[test]
+    fn and_cube_is_pointwise(cover in arb_cover(), cube in arb_cube()) {
+        let and = cover.and_cube(&cube);
+        for code in 0..(1u64 << NVARS) {
+            prop_assert_eq!(and.eval(code), cover.eval(code) && cube.eval(code));
+        }
+    }
+
+    /// Single-cube containment removal keeps the function and leaves no
+    /// cube inside another.
+    #[test]
+    fn containment_reduction_preserves_function(cover in arb_cover()) {
+        let mut reduced = cover.clone();
+        reduced.make_minimal_wrt_containment();
+        for code in 0..(1u64 << NVARS) {
+            prop_assert_eq!(reduced.eval(code), cover.eval(code));
+        }
+        for (i, c) in reduced.cubes().iter().enumerate() {
+            for (j, d) in reduced.cubes().iter().enumerate() {
+                prop_assert!(i == j || !d.contains(c), "{:?} inside {:?}", c, d);
+            }
+        }
+    }
+
+    /// A cover depends on no variable outside its support.
+    #[test]
+    fn support_bounds_dependence(cover in arb_cover(), var in 0usize..NVARS) {
+        let support = cover.support();
+        prop_assert_eq!(
+            cover.support_mask(),
+            support.iter().fold(0u64, |mask, &v| mask | 1 << v)
+        );
+        if !support.contains(&var) {
+            for code in 0..(1u64 << NVARS) {
+                prop_assert_eq!(cover.eval(code), cover.eval(code ^ 1 << var));
+            }
+        }
+    }
+
+    /// `minimize_onoff` equals the problem's own minimization on disjoint
+    /// sets and names the clashing code when ON and OFF overlap.
+    #[test]
+    fn minimize_onoff_matches_the_problem(
+        assignment in proptest::collection::vec(0u8..3, 1 << NVARS),
+        clash in 0u64..(1 << NVARS),
+    ) {
+        let on: Vec<u64> = assignment.iter().enumerate()
+            .filter(|&(_, &t)| t == 1).map(|(c, _)| c as u64).collect();
+        let off: Vec<u64> = assignment.iter().enumerate()
+            .filter(|&(_, &t)| t == 2).map(|(c, _)| c as u64).collect();
+        let problem = MinimizeProblem::new(NVARS, on.clone(), off.clone()).expect("disjoint");
+        prop_assert_eq!(minimize_onoff(NVARS, &on, &off).expect("disjoint"), problem.minimize());
+        let (mut on, mut off) = (on, off);
+        on.retain(|&c| c != clash);
+        on.push(clash);
+        off.push(clash);
+        let err = minimize_onoff(NVARS, &on, &off).expect_err("overlapping sets");
+        prop_assert_eq!(err.code, clash);
+    }
+
     /// Every generated divisor has at least two literals and differs from
     /// the cover itself (§3.1's "trivial divisors are not considered").
     #[test]
@@ -143,56 +226,6 @@ proptest! {
     fn pipelines_are_clean(n in 1usize..6) {
         let sg = elaborate(&patterns::pipeline(n)).expect("bounded");
         prop_assert!(check_all(&sg).is_ok());
-    }
-
-    /// The heuristic SOP engine agrees with the exact BDD engine:
-    /// covers built through or/and/cofactor denote the same functions.
-    #[test]
-    fn sop_ops_agree_with_bdd(a in arb_cover(), b in arb_cover()) {
-        use simap::boolean::Bdd;
-        let mut bdd = Bdd::new();
-        let ra = bdd.from_cover(&a);
-        let rb = bdd.from_cover(&b);
-        let or_bdd = bdd.or(ra, rb);
-        let and_bdd = bdd.and(ra, rb);
-        let or_sop = bdd.from_cover(&a.or(&b));
-        let and_sop = bdd.from_cover(&a.and(&b));
-        prop_assert_eq!(or_bdd, or_sop, "or mismatch");
-        prop_assert_eq!(and_bdd, and_sop, "and mismatch");
-    }
-
-    /// The minimizer's output is exactly verified against its spec by the
-    /// BDD engine (no reliance on the minimizer's own debug assertions).
-    #[test]
-    fn minimizer_certified_by_bdd(assignment in proptest::collection::vec(0u8..3, 64)) {
-        use simap::boolean::cover_matches_spec;
-        let on: Vec<u64> = assignment.iter().enumerate()
-            .filter(|&(_, &t)| t == 1).map(|(c, _)| c as u64).collect();
-        let off: Vec<u64> = assignment.iter().enumerate()
-            .filter(|&(_, &t)| t == 2).map(|(c, _)| c as u64).collect();
-        let problem = MinimizeProblem::new(6, on.clone(), off.clone()).expect("disjoint");
-        let f = problem.minimize();
-        prop_assert!(cover_matches_spec(&f, 6, &on, &off));
-    }
-
-    /// BDD to_cover/from_cover is a semantic identity.
-    #[test]
-    fn bdd_cover_roundtrip(cover in arb_cover()) {
-        use simap::boolean::Bdd;
-        let mut bdd = Bdd::new();
-        let r = bdd.from_cover(&cover);
-        let back = bdd.to_cover(r);
-        prop_assert_eq!(bdd.from_cover(&back), r);
-    }
-
-    /// sat_count agrees with brute-force enumeration.
-    #[test]
-    fn bdd_sat_count_exact(cover in arb_cover()) {
-        use simap::boolean::Bdd;
-        let mut bdd = Bdd::new();
-        let r = bdd.from_cover(&cover);
-        let brute = (0..(1u64 << NVARS)).filter(|&c| cover.eval(c)).count() as u64;
-        prop_assert_eq!(bdd.sat_count(r, NVARS), brute);
     }
 
     /// Event insertion is total and safe: for ANY cube divisor over a

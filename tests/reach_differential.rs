@@ -1,23 +1,19 @@
 //! Differential testing of the reachability engines: for random safe
 //! STGs, every registry benchmark, and every error family (unbounded,
-//! state limit, inconsistency), the four strategies — `Packed` (the
-//! default), `Explicit` (the legacy oracle), `Symbolic` (the BDD engine)
-//! and `Spill` (the external-memory engine, at the default budget and at
-//! a tiny budget that forces genuine spilling) — must agree. The
-//! enumerative strategies and Spill are held to byte-identical results; the symbolic engine materializes
-//! byte-identical graphs too, and its independently computed counts,
-//! initial code, region sizes and CSC conflict codes are cross-checked
-//! against the oracle's graph.
+//! state limit, inconsistency), the three strategies — `Packed` (the
+//! default), `Explicit` (the legacy oracle) and `Spill` (the
+//! external-memory engine, at the default budget and at a tiny budget
+//! that forces genuine spilling) — must agree: byte-identical graphs and
+//! equal errors.
 //!
 //! Case counts are environment-tunable so CI can run a deeper sweep:
 //! `SIMAP_DIFF_CASES=256 cargo test --release --test reach_differential`.
 
 use proptest::prelude::*;
-use simap::core::csc_conflicts;
-use simap::sg::{Event, StateGraph};
+use simap::sg::StateGraph;
 use simap::stg::{
-    analyze, benchmark, benchmark_names, elaborate_with, elaborate_with_stats, parse_g, patterns,
-    reach_symbolic, ReachError, Stg,
+    benchmark, benchmark_names, elaborate_with, elaborate_with_stats, parse_g, patterns,
+    ReachError, Stg,
 };
 use simap::{ReachConfig, ReachStrategy};
 
@@ -27,10 +23,6 @@ fn cases(default: u32) -> u32 {
 
 fn explicit(config: &ReachConfig) -> ReachConfig {
     ReachConfig { strategy: ReachStrategy::Explicit, ..config.clone() }
-}
-
-fn symbolic(config: &ReachConfig) -> ReachConfig {
-    ReachConfig { strategy: ReachStrategy::Symbolic, ..config.clone() }
 }
 
 /// The spill strategy at a given memory budget. Few shards so tiny
@@ -63,86 +55,8 @@ fn assert_same_graph(packed: &StateGraph, oracle: &StateGraph, context: &str) {
     );
 }
 
-/// The sorted set of distinct codes carrying a CSC conflict in a graph —
-/// the numbering-independent face of the conflict list.
-fn conflict_codes(sg: &StateGraph) -> Vec<u64> {
-    let mut codes: Vec<u64> = csc_conflicts(sg).iter().map(|c| c.code).collect();
-    codes.sort_unstable();
-    codes.dedup();
-    codes
-}
-
-/// Whether two reachability errors belong to the same family. The
-/// enumerative engines are held to exact equality elsewhere; the
-/// symbolic engine reports the same *kind* of failure with its own
-/// wording/counters, and its 1-safety boundary (`NotSafe`) fires before
-/// anything else — so on nets that are not 1-safe it stands in for
-/// whatever the enumerative engines go on to report (`Unbounded` or
-/// `StateLimit` on token-growing nets, `Inconsistent` on bounded
-/// multi-token nets whose signals also fail to alternate).
-fn same_error_family(symbolic: &ReachError, oracle: &ReachError) -> bool {
-    use std::mem::discriminant;
-    if discriminant(symbolic) == discriminant(oracle) {
-        return true;
-    }
-    matches!(
-        (symbolic, oracle),
-        (
-            ReachError::NotSafe { .. },
-            ReachError::Unbounded { .. }
-                | ReachError::StateLimit { .. }
-                | ReachError::Inconsistent { .. }
-        )
-    )
-}
-
-/// Cross-checks the symbolic summary — counts, initial code, CSC codes,
-/// per-signal regions — against an elaborated oracle graph.
-fn assert_summary_matches(stg: &Stg, config: &ReachConfig, oracle: &StateGraph, context: &str) {
-    let sym = reach_symbolic(stg, config)
-        .unwrap_or_else(|e| panic!("{context}: symbolic summary failed: {e}"));
-    assert_eq!(sym.states, oracle.state_count() as u64, "{context}: symbolic state count");
-    assert_eq!(sym.initial_code, oracle.code(oracle.initial()), "{context}: symbolic initial code");
-    let oracle_codes = conflict_codes(oracle);
-    assert_eq!(
-        sym.csc_conflict_code_count,
-        oracle_codes.len() as u64,
-        "{context}: CSC conflict code count"
-    );
-    if sym.csc_conflict_code_count <= simap::stg::MAX_CONFLICT_CODES as u64 {
-        assert_eq!(sym.csc_conflict_codes, oracle_codes, "{context}: CSC conflict codes");
-    }
-    for r in &sym.regions {
-        let rise = Event::rise(r.signal);
-        let fall = Event::fall(r.signal);
-        let mut rise_excited = 0u64;
-        let mut fall_excited = 0u64;
-        let mut quiescent_high = 0u64;
-        let mut quiescent_low = 0u64;
-        for s in oracle.states() {
-            let re = oracle.enabled(s, rise);
-            let fe = oracle.enabled(s, fall);
-            rise_excited += u64::from(re);
-            fall_excited += u64::from(fe);
-            if !re && !fe {
-                if oracle.value(s, r.signal) {
-                    quiescent_high += 1;
-                } else {
-                    quiescent_low += 1;
-                }
-            }
-        }
-        assert_eq!(
-            (r.rise_excited, r.fall_excited, r.quiescent_high, r.quiescent_low),
-            (rise_excited, fall_excited, quiescent_high, quiescent_low),
-            "{context}: regions of signal {:?}",
-            r.signal
-        );
-    }
-}
-
-/// Elaborates under every strategy (packed, explicit, spill, symbolic)
-/// and checks the outcomes — graphs or errors — coincide.
+/// Elaborates under every strategy (packed, explicit, spill) and checks
+/// the outcomes — graphs or errors — coincide.
 fn assert_differential(stg: &Stg, config: &ReachConfig, context: &str) {
     let packed = elaborate_with(stg, config);
     let oracle = elaborate_with(stg, &explicit(config));
@@ -173,32 +87,6 @@ fn assert_differential(stg: &Stg, config: &ReachConfig, context: &str) {
                  spill:    {spilled:?}\n  explicit: {oracle:?}"
             ),
         }
-    }
-
-    let sym = elaborate_with(stg, &symbolic(config));
-    match (&sym, &oracle) {
-        (Ok(s), Ok(o)) => {
-            assert_same_graph(s, o, &format!("{context} [symbolic]"));
-            assert_summary_matches(stg, config, o, context);
-        }
-        (Err(ReachError::NotSafe { .. }), Ok(_)) => {
-            // The symbolic engine only covers 1-safe nets; the claim must
-            // still be true of the net.
-            let analysis = analyze(stg, &explicit(config))
-                .unwrap_or_else(|e| panic!("{context}: analysis failed: {e}"));
-            assert!(!analysis.safe, "{context}: symbolic claimed NotSafe for a 1-safe net");
-        }
-        (Err(s), Err(o)) => {
-            assert!(
-                same_error_family(s, o),
-                "{context}: symbolic error family mismatch:\n  symbolic: {s:?}\n  \
-                 explicit: {o:?}"
-            );
-        }
-        _ => panic!(
-            "{context}: symbolic disagrees on success:\n  symbolic: {sym:?}\n  \
-             explicit: {oracle:?}"
-        ),
     }
 }
 
@@ -233,8 +121,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
     /// Random safe STGs — single patterns and parallel compositions —
-    /// elaborate identically under Packed, Explicit, Spill and Symbolic,
-    /// with the symbolic summary cross-checked.
+    /// elaborate identically under Packed, Explicit and Spill.
     #[test]
     fn random_safe_stgs_elaborate_identically(parts in proptest::collection::vec(arb_part(), 1..3)) {
         let stg = if parts.len() == 1 {
@@ -256,8 +143,7 @@ proptest! {
     }
 
     /// Unbounded nets produce the same `ReachError::Unbounded` — same
-    /// place, bound and progress counter — under the enumerative
-    /// strategies, and the matching `NotSafe` scope error symbolically.
+    /// place, bound and progress counter — under every strategy.
     #[test]
     fn unbounded_nets_map_to_the_same_error(max_tokens in 1u8..5) {
         let src = "\
@@ -277,12 +163,10 @@ a- p
     }
 }
 
-/// Every registry benchmark elaborates identically under all four
-/// strategies (Spill at both budgets), with matching
-/// exploration counters; the symbolic summary (exact counts, initial
-/// code, regions, CSC codes) is cross-checked against the oracle —
-/// on every benchmark in release builds, on the smaller ones in debug
-/// builds (the release-mode CI conformance job covers the full suite).
+/// Every registry benchmark elaborates identically under all three
+/// strategies (Spill at both budgets), with matching exploration
+/// counters. The tiny-budget spill run covers every benchmark in release
+/// builds and the smaller ones in debug builds.
 #[test]
 fn all_registry_benchmarks_elaborate_identically() {
     for name in benchmark_names() {
@@ -324,24 +208,11 @@ fn all_registry_benchmarks_elaborate_identically() {
                 );
             }
         }
-
-        let (sym, sstats) = elaborate_with_stats(&stg, &symbolic(&config))
-            .unwrap_or_else(|e| panic!("{name} [symbolic]: {e}"));
-        assert_same_graph(&sym, &oracle, &format!("{name} [symbolic]"));
-        assert_eq!(sstats.strategy, ReachStrategy::Symbolic, "{name}: symbolic stats strategy");
-        assert_eq!(
-            (sstats.visited, sstats.interned, sstats.edges),
-            (ostats.visited, ostats.interned, ostats.edges),
-            "{name}: symbolic exploration counters"
-        );
-        if !cfg!(debug_assertions) || oracle.state_count() <= 500 {
-            assert_summary_matches(&stg, &config, &oracle, name);
-        }
     }
 }
 
-/// Inconsistent STGs are rejected with the same diagnostic by the
-/// enumerative strategies and with the same error family symbolically.
+/// Inconsistent STGs are rejected with the same diagnostic by every
+/// strategy.
 #[test]
 fn inconsistent_stgs_map_to_the_same_error() {
     let src = "\
@@ -356,21 +227,15 @@ a- a+
 ";
     let stg = parse_g(src).expect("parses");
     let config = ReachConfig::default();
-    let packed = elaborate_with(&stg, &config).unwrap_err();
+    assert_differential(&stg, &config, "inconsistent");
     let oracle = elaborate_with(&stg, &explicit(&config)).unwrap_err();
-    assert_eq!(packed, oracle);
-    let sym = elaborate_with(&stg, &symbolic(&config)).unwrap_err();
-    assert_eq!(sym, oracle, "symbolic materialization shares the consistency check");
-    let summary = reach_symbolic(&stg, &config).unwrap_err();
-    assert!(matches!(summary, ReachError::Inconsistent { .. }), "{summary}");
+    assert!(matches!(oracle, ReachError::Inconsistent { .. }), "{oracle}");
 }
 
-/// A bounded multi-token net whose signal also fails to alternate: the
-/// enumerative engines finish exploring and report `Inconsistent`, while
-/// the symbolic engine's 1-safety pre-check fires first (`NotSafe`) —
-/// the one place the families legitimately differ in kind.
+/// A bounded multi-token net whose signal also fails to alternate: every
+/// engine finishes exploring and reports the same `Inconsistent` error.
 #[test]
-fn multi_token_inconsistent_nets_stay_family_compatible() {
+fn multi_token_inconsistent_nets_map_to_the_same_error() {
     let src = "\
 .model mti
 .inputs a b
@@ -388,8 +253,6 @@ b- p
     assert_differential(&stg, &ReachConfig::default(), "multi-token inconsistent");
     let oracle = elaborate_with(&stg, &explicit(&ReachConfig::default())).unwrap_err();
     assert!(matches!(oracle, ReachError::Inconsistent { .. }), "{oracle}");
-    let sym = elaborate_with(&stg, &symbolic(&ReachConfig::default())).unwrap_err();
-    assert!(matches!(sym, ReachError::NotSafe { .. }), "{sym}");
 }
 
 /// The boundary token bound: at `max_tokens = 255` a token count can hit
@@ -416,9 +279,8 @@ a- p
     assert_differential(&stg, &config, "max_tokens=255");
 }
 
-/// Registry benchmarks under tight limits hit the same `StateLimit` —
-/// byte-identical across all three strategies (the symbolic engine
-/// counts first, then reproduces the enumerative limit error exactly).
+/// Registry benchmarks under tight limits hit the same `StateLimit`
+/// under all three strategies (Spill at both budgets).
 #[test]
 fn benchmark_state_limits_match() {
     for (name, limit) in [("mmu", 5), ("vbe10b", 100), ("master-read", 17)] {
@@ -427,11 +289,25 @@ fn benchmark_state_limits_match() {
         let packed = elaborate_with(&stg, &config).unwrap_err();
         let oracle = elaborate_with(&stg, &explicit(&config)).unwrap_err();
         assert_eq!(packed, oracle, "{name}");
-        let sym = elaborate_with(&stg, &symbolic(&config)).unwrap_err();
-        assert_eq!(sym, oracle, "{name} [symbolic]");
         for budget in [ReachConfig::default().memory_budget, TINY_BUDGET] {
             let spilled = elaborate_with(&stg, &spill(&config, budget)).unwrap_err();
             assert_eq!(spilled, oracle, "{name} [spill budget={budget}]");
         }
+    }
+}
+
+/// A product far past the state limit (4^16 markings) stops every
+/// strategy at the same limit with the same progress counters.
+#[test]
+fn huge_products_stop_at_the_same_state_limit() {
+    let parts: Vec<Stg> = (0..16).map(|_| patterns::sequencer(2, None)).collect();
+    let stg = patterns::parallel("grid", &parts);
+    let config = ReachConfig { max_states: 20_000, ..ReachConfig::default() };
+    let oracle = elaborate_with(&stg, &explicit(&config)).unwrap_err();
+    assert!(matches!(oracle, ReachError::StateLimit { limit: 20_000, .. }), "{oracle}");
+    assert_eq!(elaborate_with(&stg, &config).unwrap_err(), oracle, "packed");
+    for budget in [ReachConfig::default().memory_budget, TINY_BUDGET] {
+        let spilled = elaborate_with(&stg, &spill(&config, budget)).unwrap_err();
+        assert_eq!(spilled, oracle, "spill budget={budget}");
     }
 }
