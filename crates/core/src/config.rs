@@ -36,7 +36,6 @@ pub struct Config {
     pub(crate) or_limit: Option<usize>,
     pub(crate) csc_repair: CscRepairConfig,
     pub(crate) reach: ReachConfig,
-    pub(crate) cache_capacity: Option<usize>,
 }
 
 impl Default for Config {
@@ -46,7 +45,6 @@ impl Default for Config {
             or_limit: None,
             csc_repair: CscRepairConfig::default(),
             reach: ReachConfig::default(),
-            cache_capacity: None,
         }
     }
 }
@@ -113,11 +111,6 @@ impl Config {
         &self.reach
     }
 
-    /// Entry cap of the engine's elaboration cache (`None` = unbounded).
-    pub fn cache_capacity(&self) -> Option<usize> {
-        self.cache_capacity
-    }
-
     /// A stable 64-bit fingerprint of **every** knob in this
     /// configuration, suitable as the configuration component of a
     /// content-addressed cache key (the persistent result cache of
@@ -129,11 +122,10 @@ impl Config {
     /// rendering of the knobs, so it is identical across processes and
     /// machines. It is deliberately *conservative*: knobs that do not
     /// change response bytes (the spill budget under an in-memory
-    /// strategy, the elaboration-cache capacity) still
-    /// participate, trading a few spurious cache misses for never having
-    /// to reason about which knob is observable where. A 64-bit digest
-    /// can collide; consumers must verify the full key on use (see
-    /// [`crate::digest`]).
+    /// strategy) still participate, trading a few spurious cache misses
+    /// for never having to reason about which knob is observable where.
+    /// A 64-bit digest can collide; consumers must verify the full key on
+    /// use (see [`crate::digest`]).
     pub fn digest(&self) -> u64 {
         use std::fmt::Write as _;
         let d = &self.flow.decompose;
@@ -165,7 +157,7 @@ impl Config {
         let _ = write!(
             canon,
             "reach={};rmax={};rtok={};rbud={};rdir={:?};rshards={};rckevery={};\
-             rckdir={:?};rresume={:?};cachecap={:?}",
+             rckdir={:?};rresume={:?}",
             r.strategy,
             r.max_states,
             r.max_tokens,
@@ -175,7 +167,6 @@ impl Config {
             r.checkpoint_every,
             r.checkpoint_dir,
             r.resume,
-            self.cache_capacity,
         );
         crate::digest::fnv1a64(canon.as_bytes())
     }
@@ -329,14 +320,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Bounds the engine's elaboration cache to `n` entries with
-    /// least-recently-used eviction (default: unbounded; must be at
-    /// least 1).
-    pub fn cache_capacity(mut self, n: usize) -> Self {
-        self.config.cache_capacity = Some(n);
-        self
-    }
-
     /// Validates and freezes the configuration.
     ///
     /// # Errors
@@ -372,9 +355,6 @@ impl ConfigBuilder {
         }
         if c.reach.checkpoint_every > 0 && c.reach.checkpoint_dir.is_none() {
             return fail("reach_checkpoint_every requires reach_checkpoint_dir");
-        }
-        if c.cache_capacity == Some(0) {
-            return fail("cache_capacity must be at least 1 (omit it for an unbounded cache)");
         }
         Ok(self.config)
     }
@@ -412,7 +392,6 @@ mod tests {
             .reach_checkpoint_every(16)
             .reach_checkpoint_dir(Some(std::path::PathBuf::from("/tmp/simap-ckpt")))
             .reach_resume(Some(std::path::PathBuf::from("/tmp/simap-ckpt")))
-            .cache_capacity(7)
             .build()
             .unwrap();
         assert_eq!(config.literal_limit(), 4);
@@ -439,7 +418,6 @@ mod tests {
             config.reach_config().resume.as_deref(),
             Some(std::path::Path::new("/tmp/simap-ckpt"))
         );
-        assert_eq!(config.cache_capacity(), Some(7));
     }
 
     #[test]
@@ -453,7 +431,6 @@ mod tests {
             Config::builder().reach_memory_budget(0),
             Config::builder().reach_shards(0),
             Config::builder().reach_checkpoint_every(4),
-            Config::builder().cache_capacity(0),
         ] {
             let err = builder.build().unwrap_err();
             assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
@@ -488,7 +465,6 @@ mod tests {
                 .reach_checkpoint_dir(Some(std::path::PathBuf::from("/tmp/simap-ckpt")))
                 .build()
                 .unwrap(),
-            Config::builder().cache_capacity(3).build().unwrap(),
         ] {
             let digest = variant.digest();
             assert!(!seen.contains(&digest), "digest collision for {variant:?}");

@@ -405,9 +405,8 @@ pub struct FlowReport {
     /// inconclusive.
     pub verified: Option<bool>,
     /// Exploration counters of the STG→state-graph reachability run that
-    /// elaborated the specification (cache hits replay the cold run's
-    /// counters). `None` when the flow started from an already-elaborated
-    /// state graph.
+    /// elaborated the specification. `None` when the flow started from an
+    /// already-elaborated state graph.
     pub reach: Option<simap_stg::ReachStats>,
     /// The decomposition outcome (final SG, covers, steps).
     pub outcome: DecomposeResult,

@@ -20,15 +20,15 @@
 //!
 //! Runs are described by one validated [`Config`] and executed through an
 //! [`Engine`] — a cheaply-cloneable, thread-safe handle owning the shared
-//! immutable inputs (benchmark registry, gate library) and a memoized
-//! elaboration cache, so repeated syntheses of the same specification
-//! skip STG→state-graph reachability. The engine is the middle of three
-//! entry tiers: the `simap` CLI wraps it for one-shot processes, this
-//! API embeds it in long-running programs, and the `simap-serve` crate
-//! hosts one shared engine behind an HTTP service (`simap serve`) so
-//! many clients reuse the same warm cache — all three produce identical
-//! reports for identical requests (the service byte-compares against
-//! `simap map --json` in CI):
+//! immutable inputs (benchmark registry, gate library). Every run
+//! elaborates its specification afresh; the engine keeps no
+//! per-specification state. The engine is the middle of three entry
+//! tiers: the `simap` CLI wraps it for one-shot processes, this API
+//! embeds it in long-running programs, and the `simap-serve` crate hosts
+//! one shared engine behind an HTTP service (`simap serve`), whose
+//! persistent result cache answers repeated requests — all three produce
+//! identical reports for identical requests (the service byte-compares
+//! against `simap map --json` in CI):
 //!
 //! ```
 //! use simap_core::{Config, Engine};
@@ -38,9 +38,8 @@
 //! assert!(report.inserted.is_some()); // implementable with 2-input gates
 //! assert_eq!(report.verified, Some(true)); // and provably speed-independent
 //!
-//! let again = engine.synthesize("hazard")?; // elaboration answered from cache
+//! let again = engine.synthesize("hazard")?; // a fresh, identical run
 //! assert_eq!(report.inserted, again.inserted);
-//! assert_eq!(engine.cache_stats().hits, 1);
 //! # Ok::<(), simap_core::Error>(())
 //! ```
 //!
@@ -62,18 +61,10 @@
 //!   state space is larger than RAM; expect scratch traffic on the
 //!   order of the arena plus 16 bytes per edge.
 //!
-//! All three produce the same graphs and errors; the
-//! strategy — and its strategy-specific knobs — are part of the
-//! elaboration cache key. [`Elaborated::reach_stats`] exposes the
-//! visited/interned/edge counters of the run that produced a graph
-//! (cache hits replay the cold run's counters), plus per-run spill
-//! counters under the spill strategy.
-//!
-//! The elaboration cache itself is unbounded by default; long-running
-//! hosts (the HTTP service) can cap it with
-//! [`ConfigBuilder::cache_capacity`] — least-recently-used entries are
-//! evicted past the cap, and [`Engine::cache_stats`] reports the
-//! eviction count alongside hits and misses.
+//! All three produce the same graphs and errors.
+//! [`Elaborated::reach_stats`] exposes the visited/interned/edge counters
+//! of the run that produced a graph, plus per-run spill counters under
+//! the spill strategy.
 //!
 //! [`Batch`] drives many specifications through one configuration —
 //! sequentially or on a worker pool with deterministic, order-preserving
@@ -122,7 +113,9 @@
 //! `Synthesis`/`Batch` setters) completed that cycle and were removed in
 //! 0.12; configure runs through [`Config`]. The BDD-based symbolic
 //! reachability strategy was removed in 0.13 without a deprecation
-//! cycle, since no caller selected it. Algorithm
+//! cycle, since no caller selected it. The engine's elaboration cache
+//! went in 0.14; [`Engine::clear_cache`] stays as a deprecated no-op
+//! until 0.15. Algorithm
 //! primitives ([`mc::synthesize_mc`], [`csc::repair_csc`],
 //! [`insertion::compute_insertion`], [`flow::build_circuit`], …) are the
 //! stable substrate the pipeline itself is built on.
@@ -151,7 +144,7 @@ pub use decompose::{
     decompose, decompose_with, excess, AckMode, DecomposeConfig, DecomposeResult, DecomposeStep,
 };
 pub use digest::{fnv1a64, Fnv64};
-pub use engine::{CacheStats, Engine};
+pub use engine::Engine;
 pub use error::{Error, Stage};
 pub use flow::{
     build_circuit, build_circuit_with_or_limit, build_decomposed_circuit, non_si_cost, si_cost,

@@ -51,8 +51,8 @@ pub trait FlowObserver {
 
     /// The Covers stage synthesized one signal's monotonous covers.
     /// Always fired in signal-index order, after all CSC callbacks of the
-    /// run, from the finished implementation — so the stream is identical
-    /// between cold and cached runs.
+    /// run, from the finished implementation — so the stream is the same
+    /// on every run of the same specification.
     fn on_signal_synth(&mut self, signal: &str, cubes: usize, literals: usize) {
         let _ = (signal, cubes, literals);
     }

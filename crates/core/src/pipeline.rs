@@ -24,7 +24,7 @@
 //! worker pool ([`Batch::jobs`]) with deterministic, order-preserving
 //! results. Construct syntheses through an [`Engine`]
 //! ([`Engine::benchmark`], [`Engine::batch`], …) to share benchmark
-//! construction and memoize elaboration across runs.
+//! construction across runs.
 //!
 //! ```
 //! use simap_core::pipeline::Synthesis;
@@ -37,7 +37,7 @@
 use crate::config::Config;
 use crate::csc::{csc_conflicts, repair_csc};
 use crate::decompose::{decompose_with, DecomposeResult, DecomposeStep};
-use crate::engine::{CachedElaboration, Engine, SourceKey};
+use crate::engine::Engine;
 use crate::error::{Error, Stage};
 use crate::flow::{build_circuit_with_or_limit, non_si_cost, si_cost, FlowReport};
 use crate::mc::{synthesize_mc, McImpl};
@@ -45,7 +45,7 @@ use crate::observer::{FlowObserver, NullObserver};
 use crate::report::BatchRow;
 use simap_netlist::{verify_speed_independence, Circuit, Cost, VerifyError};
 use simap_sg::StateGraph;
-use simap_stg::{benchmark, elaborate_with_stats, parse_g, write_g, ReachStats, Stg};
+use simap_stg::{benchmark, elaborate_with_stats, parse_g, ReachStats, Stg};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -173,8 +173,8 @@ impl Synthesis {
         self
     }
 
-    /// Wires this synthesis to an [`Engine`] so elaboration consults the
-    /// engine's memoization cache. Constructed for you by
+    /// Wires this synthesis to an [`Engine`] so benchmark sources resolve
+    /// through the engine's registry. Constructed for you by
     /// [`Engine::benchmark`] and friends.
     pub(crate) fn engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
@@ -189,81 +189,14 @@ impl Synthesis {
         self
     }
 
-    /// The cache identity of this synthesis' source, when it has one
-    /// (state-graph sources are already elaborated and never cached).
-    fn source_key(&self) -> Option<SourceKey> {
-        match &self.source {
-            Source::Benchmark(name) => Some(SourceKey::Benchmark(name.clone())),
-            Source::Text(text) => Some(SourceKey::Text(text.clone())),
-            Source::Stg(stg) => Some(SourceKey::Text(write_g(stg))),
-            Source::StateGraph(_) => None,
-        }
-    }
-
     /// Resolves the source and elaborates it into a state graph,
     /// repairing CSC first when [`Config::repair_csc`] is on.
-    ///
-    /// When the synthesis is wired to an [`Engine`], the elaboration is
-    /// answered from the engine's cache if an identical (source,
-    /// elaboration-relevant configuration) pair was elaborated before —
-    /// the observer callbacks (stages, CSC conflicts, CSC repairs) are
-    /// replayed exactly as the cold run emitted them, but reachability
-    /// and repair themselves are skipped.
     ///
     /// # Errors
     /// [`Error::UnknownBenchmark`], [`Error::Parse`], [`Error::Elaborate`]
     /// on load/reachability problems; [`Error::CscRepairFailed`] (with the
     /// original conflict list) when repair was requested but impossible.
     pub fn elaborate(mut self) -> Result<Elaborated, Error> {
-        // Engine fast path: a memoized elaboration skips reachability.
-        // The observer sees the exact event stream a cold run of the same
-        // source kind would emit (benchmark/text sources fire Load, STG
-        // sources do not; conflicts and repairs replay from the cache);
-        // only the work inside the stages is skipped. The key is built
-        // once — canonicalizing an STG source is O(spec size) — and
-        // reused for the store on a miss.
-        let key = match &self.engine {
-            Some(engine) => {
-                self.source_key().map(|source| engine.elab_key(source, &self.ctx.config))
-            }
-            None => None,
-        };
-        if let (Some(engine), Some(key)) = (&self.engine, &key) {
-            if let Some(cached) = engine.lookup(key) {
-                match &self.source {
-                    Source::Benchmark(name) => {
-                        let name = name.clone();
-                        self.ctx.start(Stage::Load, &name);
-                        self.ctx.end(Stage::Load);
-                        self.ctx.start(Stage::Elaborate, &name);
-                    }
-                    Source::Text(_) => {
-                        self.ctx.start(Stage::Load, "<g-source>");
-                        self.ctx.end(Stage::Load);
-                        self.ctx.start(Stage::Elaborate, cached.sg.name());
-                    }
-                    Source::Stg(stg) => {
-                        let name = stg.name().to_string();
-                        self.ctx.start(Stage::Elaborate, &name);
-                    }
-                    Source::StateGraph(_) => unreachable!("state graphs have no cache key"),
-                }
-                if !cached.conflicts.is_empty() {
-                    self.ctx.observer.on_csc_conflicts(&cached.conflicts);
-                    for signal in &cached.repaired {
-                        self.ctx.observer.on_csc_repair(signal);
-                    }
-                }
-                self.ctx.end(Stage::Elaborate);
-                return Ok(Elaborated {
-                    ctx: self.ctx,
-                    sg: cached.sg,
-                    repaired: cached.repaired,
-                    reach: cached.reach,
-                });
-            }
-        }
-
         let reach = self.ctx.config.reach.clone();
         let (sg, reach_stats) = match self.source {
             Source::Benchmark(ref name) => {
@@ -326,19 +259,7 @@ impl Synthesis {
             }
         };
         self.ctx.end(Stage::Elaborate);
-        let sg = Arc::new(sg);
-        if let (Some(engine), Some(key)) = (&self.engine, key) {
-            engine.store(
-                key,
-                CachedElaboration {
-                    sg: sg.clone(),
-                    repaired: repaired.clone(),
-                    conflicts,
-                    reach: reach_stats,
-                },
-            );
-        }
-        Ok(Elaborated { ctx: self.ctx, sg, repaired, reach: reach_stats })
+        Ok(Elaborated { ctx: self.ctx, sg: Arc::new(sg), repaired, reach: reach_stats })
     }
 
     /// Runs the whole flow — elaborate, covers, decompose, map and (unless
@@ -351,15 +272,13 @@ impl Synthesis {
     /// Everything [`Synthesis::elaborate`] and [`Elaborated::covers`] can
     /// raise.
     pub fn run(self) -> Result<FlowReport, Error> {
-        let verify = self.ctx.config.flow.verify;
-        let mapped = self.elaborate()?.covers()?.decompose()?.map();
-        let verified = if verify { mapped.verify_compat() } else { mapped.skip_verify() };
-        Ok(verified.into_report())
+        self.elaborate()?.finish()
     }
 }
 
 /// Stage artifact: the elaborated (and possibly CSC-repaired) state
-/// graph. The graph is behind an [`Arc`]: cache hits and clones share it.
+/// graph. The graph is behind an [`Arc`], so the later stages and
+/// [`Elaborated::state_graph_arc`] share it without copying.
 pub struct Elaborated {
     ctx: Ctx,
     sg: Arc<StateGraph>,
@@ -376,7 +295,7 @@ impl Elaborated {
     /// Exploration counters of the reachability run that produced this
     /// graph — markings visited/interned, edges fired, the strategy that
     /// ran. `None` when the synthesis started from an already-elaborated
-    /// state graph; cache hits report the cold run's counters.
+    /// state graph.
     pub fn reach_stats(&self) -> Option<ReachStats> {
         self.reach
     }
@@ -397,6 +316,15 @@ impl Elaborated {
         simap_sg::check_all(&self.sg)
     }
 
+    /// The rest of [`Synthesis::run`]: covers, decompose, map and (unless
+    /// disabled) verify.
+    fn finish(self) -> Result<FlowReport, Error> {
+        let verify = self.ctx.config.flow.verify;
+        let mapped = self.covers()?.decompose()?.map();
+        let verified = if verify { mapped.verify_compat() } else { mapped.skip_verify() };
+        Ok(verified.into_report())
+    }
+
     /// Synthesizes monotonous covers for every implementable signal.
     ///
     /// # Errors
@@ -415,10 +343,8 @@ impl Elaborated {
             }
         };
         // Per-signal progress events fire from the merged result, in
-        // signal-index order — the canonical stream is identical between
-        // cold and cached elaborations
-        // (all CSC callbacks belong to the Elaborate stage and precede
-        // these by construction).
+        // signal-index order (all CSC callbacks belong to the Elaborate
+        // stage and precede these by construction).
         for signal in &mc.signals {
             let name = &self.sg.signals()[signal.signal.0].name;
             self.ctx.observer.on_signal_synth(name, signal.cube_count(), signal.literal_count());
@@ -716,9 +642,9 @@ impl Verified {
 /// Drives many specifications through one pipeline configuration,
 /// yielding the [`BatchRow`]s the report emitters consume.
 ///
-/// A batch runs on an [`Engine`]: each benchmark's STG is built once and
-/// each (specification, elaboration configuration) pair is elaborated
-/// once, whatever the number of literal limits or repeated runs. With
+/// A batch runs on an [`Engine`]: each benchmark's STG is built once,
+/// and each (specification, literal limit) pair is elaborated and run
+/// once. With
 /// [`Batch::jobs`] the specifications are distributed over a pool of
 /// `std::thread` workers; the resulting rows are **byte-identical** to a
 /// sequential run, in the same order (the first error in input order is
@@ -733,7 +659,7 @@ pub struct Batch {
 impl Batch {
     /// A batch over the given benchmark names, on a fresh default
     /// [`Engine`]. Use [`Engine::batch`] to share an existing engine's
-    /// caches and configuration.
+    /// registry and configuration.
     pub fn over_benchmarks<I, S>(names: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -778,15 +704,14 @@ impl Batch {
         self
     }
 
-    /// Replaces the batch's configuration (the engine's caches are kept).
+    /// Replaces the batch's configuration (the engine's registry is kept).
     pub fn config(mut self, config: &Config) -> Self {
         self.engine = self.engine.with_config(config.clone());
         self
     }
 
     /// Runs every specification at every limit — on `jobs` worker threads
-    /// when configured — elaborating each benchmark once per engine
-    /// family.
+    /// when configured.
     ///
     /// # Errors
     /// The first [`Error`] any run raises, in input order. Unknown names
@@ -872,15 +797,16 @@ impl Batch {
     }
 }
 
-/// One batch row: elaborate once (through the engine cache), then run the
-/// full flow at every limit.
+/// One batch row: the full flow at every limit, each on its own
+/// elaboration (the limits differ only after elaboration, so every run
+/// sees the same state count).
 fn run_row(engine: &Engine, name: &str, configs: &[Config]) -> Result<BatchRow, Error> {
-    let first = configs.first().expect("at least one limit");
-    let elaborated = engine.with_config(first.clone()).benchmark(name).elaborate()?;
-    let states = elaborated.state_graph().state_count();
+    let mut states = 0;
     let mut reports = Vec::with_capacity(configs.len());
     for config in configs {
-        reports.push(engine.with_config(config.clone()).benchmark(name).run()?);
+        let elaborated = engine.with_config(config.clone()).benchmark(name).elaborate()?;
+        states = elaborated.state_graph().state_count();
+        reports.push(elaborated.finish()?);
     }
     Ok(BatchRow { name: name.to_string(), states, reports })
 }
@@ -1065,8 +991,6 @@ mod tests {
                 assert_eq!(sr.non_si_cost, pr.non_si_cost, "{}", s.name);
             }
         }
-        // The parallel run reused the sequential run's elaborations.
-        assert!(engine.cache_stats().hits >= names.len() as u64);
     }
 
     #[test]

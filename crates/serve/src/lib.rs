@@ -3,9 +3,11 @@
 //! A dependency-free HTTP/1.1 synthesis service over the shared
 //! [`Engine`]: the long-running third entry tier next to the one-shot
 //! CLI and the library API. One process hosts one engine, so the
-//! benchmark registry is built once and the elaboration cache stays warm
-//! across every client — exactly what [`Engine`] was made cheaply
-//! cloneable and thread-safe for.
+//! benchmark registry is built once and shared by every client — exactly
+//! what [`Engine`] was made cheaply cloneable and thread-safe for.
+//! Repeated requests are answered by the persistent result cache
+//! (`--cache-dir`), not by the engine, which keeps nothing per
+//! specification.
 //!
 //! Everything is `std`: `TcpListener` for transport, a hand-rolled
 //! HTTP/1.1 reader/writer, [`simap_core::json`] for bodies, a bounded
@@ -29,7 +31,7 @@
 //! | `GET /jobs/{id}` | Polls an async job: `{"job":"jN","status":"queued"\|"running"\|"done"\|"failed"}` plus `result` (the full response document) when done or `error` when failed. `404` for unknown/evicted/expired ids. |
 //! | `GET /benchmarks` | The embedded registry with signal/state counts — byte-identical to `simap bench list --json`. |
 //! | `GET /healthz` | `{"status":"ok","queue_depth":…,"queue_limit":…,"breaker":"closed"\|"open"\|"half-open","workers":…,"workers_alive":…}` — liveness plus admission health, never queues, never requires a key. |
-//! | `GET /metrics` | Request/response tallies, queue depth and job accounting (including age-`expired` records), the engine's elaboration [`simap_core::CacheStats`], per-stage latency histograms (power-of-two µs buckets), and a `gateway` section: per-layer allow/reject tallies, breaker state and trip counts, result-cache hit/miss/store/eviction counters, per-client admissions. |
+//! | `GET /metrics` | Request/response tallies, queue depth and job accounting (including age-`expired` records), spill-engine counters (`spill.runs` counts every elaboration that ran under the spill strategy), per-stage latency histograms (power-of-two µs buckets), and a `gateway` section: per-layer allow/reject tallies, breaker state and trip counts, result-cache hit/miss/store/eviction counters, per-client admissions. |
 //!
 //! Status codes: `400` malformed request/body, `401` missing or unknown
 //! API key, `403` a valid key whose client is blocked, `404` unknown
@@ -161,8 +163,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-pub use simap_core::CacheStats;
 
 /// Configuration of one server instance.
 #[derive(Debug, Clone)]
@@ -548,7 +548,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         }
         ("GET", "/metrics") => {
             let body = shared.metrics.render(
-                shared.engine.cache_stats(),
                 metrics::QueueGauges {
                     depth: shared.queue.depth(),
                     limit: shared.queue_limit,
@@ -872,8 +871,7 @@ fn run_work(
                 if config.verify() { mapped.verify_compat() } else { mapped.skip_verify() };
             let report = verified.report();
             // Surface spill-engine counters (disk traffic, checkpoint
-            // activity) on /metrics; warm cache hits carry the counters
-            // of the run that populated the entry.
+            // activity) on /metrics.
             if let Some(spill) = report.reach.as_ref().and_then(|r| r.spill) {
                 shared.metrics.record_spill(&spill);
             }

@@ -1,6 +1,6 @@
 //! Service metrics: lock-free counters behind `GET /metrics` — request
-//! and response tallies, job-queue accounting, the shared engine's
-//! elaboration-cache statistics and per-stage latency histograms.
+//! and response tallies, job-queue accounting, spill-engine counters and
+//! per-stage latency histograms.
 //!
 //! Everything is an atomic, so observers on worker threads and the
 //! render path on connection threads never contend on a lock. The
@@ -9,7 +9,7 @@
 //! holds sub-microsecond runs), rendered as `[upper_bound_us, count]`
 //! pairs for the nonzero buckets only.
 
-use simap_core::{CacheStats, Stage};
+use simap_core::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -143,7 +143,7 @@ impl Metrics {
     /// Renders the full metrics document (one line, trailing newline).
     /// `gateway` is the pre-rendered gateway section (one JSON object,
     /// from `Gateway::metrics_json`).
-    pub(crate) fn render(&self, engine: CacheStats, queue: QueueGauges, gateway: &str) -> String {
+    pub(crate) fn render(&self, queue: QueueGauges, gateway: &str) -> String {
         let QueueGauges { depth: queue_depth, limit: queue_limit, workers, alive, expired } = queue;
         use std::fmt::Write as _;
         let mut out = String::from("{\"requests\":{\"total\":");
@@ -171,11 +171,6 @@ impl Metrics {
             self.jobs_completed.load(Ordering::Relaxed),
             self.jobs_failed.load(Ordering::Relaxed),
             self.jobs_rejected.load(Ordering::Relaxed),
-        );
-        let _ = write!(
-            out,
-            ",\"engine\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"evicted\":{}}}",
-            engine.hits, engine.misses, engine.entries, engine.evicted
         );
         let _ = write!(
             out,
@@ -245,7 +240,6 @@ mod tests {
         m.record_stage(Stage::Verify, Duration::from_secs(1));
         m.count_status(401);
         let doc = m.render(
-            CacheStats { hits: 5, misses: 2, entries: 2, evicted: 1 },
             QueueGauges { depth: 1, limit: 8, workers: 4, alive: 4, expired: 7 },
             "{\"auth_mode\":\"anonymous\"}",
         );
@@ -265,8 +259,6 @@ mod tests {
             parsed.get("gateway").unwrap().get("auth_mode").unwrap().as_str(),
             Some("anonymous")
         );
-        assert_eq!(parsed.get("engine").unwrap().get("hits").unwrap().as_usize(), Some(5));
-        assert_eq!(parsed.get("engine").unwrap().get("evicted").unwrap().as_usize(), Some(1));
         let elaborate = parsed.get("stage_latency_us").unwrap().get("elaborate").unwrap();
         assert_eq!(elaborate.get("count").unwrap().as_usize(), Some(2));
         assert_eq!(elaborate.get("total").unwrap().as_usize(), Some(103));
@@ -290,11 +282,8 @@ mod tests {
         };
         m.record_spill(&cold);
         m.record_spill(&simap_stg::SpillCounters { resident_peak: 2048, resume_level: 4, ..cold });
-        let doc = m.render(
-            CacheStats { hits: 0, misses: 0, entries: 0, evicted: 0 },
-            QueueGauges { depth: 0, limit: 1, workers: 1, alive: 1, expired: 0 },
-            "{}",
-        );
+        let doc =
+            m.render(QueueGauges { depth: 0, limit: 1, workers: 1, alive: 1, expired: 0 }, "{}");
         let parsed = simap_core::json::parse(doc.trim_end()).expect("valid JSON");
         let spill = parsed.get("spill").unwrap();
         assert_eq!(spill.get("runs").unwrap().as_usize(), Some(2));
@@ -312,11 +301,8 @@ mod tests {
         let m = Metrics::default();
         // 100us lands in the bucket with upper bound 128.
         m.record_stage(Stage::Map, Duration::from_micros(100));
-        let doc = m.render(
-            CacheStats { hits: 0, misses: 0, entries: 0, evicted: 0 },
-            QueueGauges { depth: 0, limit: 1, workers: 1, alive: 1, expired: 0 },
-            "{}",
-        );
+        let doc =
+            m.render(QueueGauges { depth: 0, limit: 1, workers: 1, alive: 1, expired: 0 }, "{}");
         assert!(
             doc.contains("\"map\":{\"count\":1,\"total\":100,\"histogram\":[[128,1]]}"),
             "{doc}"

@@ -2,7 +2,7 @@
 //! while preserving speed-independence, then print the resulting netlist.
 //!
 //! Describe the run with one validated [`Config`], execute it through an
-//! [`Engine`] (whose elaboration cache makes repeated runs cheap), and
+//! [`Engine`] (which owns the benchmark registry and gate library), and
 //! either `.run()` for the classic one-shot report or step through the
 //! typed stages to inspect intermediate artifacts (as done here to reuse
 //! the mapped netlist without rebuilding it).

@@ -1,74 +1,16 @@
 //! `simap` — command-line front-end to the speed-independent technology
 //! mapper.
 //!
-//! ```text
-//! simap check <spec.g> [options]      verify the specification's properties
-//! simap map   <spec.g> [options]      run the full mapping flow
-//! simap bench list [--json]            list the embedded Table 1 circuits
-//! simap bench run [name ...] [opts]   batch the suite through one config
-//! simap gen [options]                 emit seeded `.g` corpus specs
-//! simap serve [options]               host the flow as an HTTP service
-//!
-//! engine options (check, map and bench run):
-//!       --strategy <s>   reachability engine: packed (default) | explicit | spill
-//!       --memory-budget <b>  spill: resident working-set cap (e.g. 256MiB)
-//!       --spill-dir <d>  spill: scratch directory (default: system temp)
-//!       --shards <n>     spill: hash partitions of the intern table
-//!       --checkpoint-every <n>  spill: commit a durable checkpoint every n BFS levels
-//!       --checkpoint-dir <d>    spill: directory the checkpoints are committed to
-//!       --resume <d>     spill: continue from the last checkpoint in <d>
-//!
-//! check options:
-//!       --bench <name>   use an embedded benchmark instead of a file
-//!
-//! map options:
-//!   -l, --limit <n>      literal limit (default 2)
-//!       --csc-repair     repair CSC violations by state-signal insertion
-//!       --no-verify      skip the final speed-independence verification
-//!       --or-limit <n>   split second-level OR gates to <= n inputs
-//!   -v, --verbose        narrate stages and insertions to stderr
-//!       --json           print the report as JSON instead of the dossier
-//!       --verilog <f>    write the mapped netlist as structural Verilog
-//!       --dot <f>        write the final state graph as Graphviz dot
-//!       --bench <name>   use an embedded benchmark instead of a file
-//!
-//! bench run options:
-//!       --limits <a,b>   literal limits (default 2)
-//!   -j, --jobs <n>       worker threads (default 1; results identical)
-//!       --csc-repair     repair CSC violations by state-signal insertion
-//!       --no-verify      skip speed-independence verification
-//!       --json|--csv     emit JSON / CSV instead of the markdown table
-//!   -v, --verbose        report elaboration-cache statistics to stderr
-//!
-//! gen options:
-//!       --seed <n>       corpus seed (default 0); a fixed seed gives
-//!                        byte-identical specs on every machine
-//!       --count <n>      how many specs to produce (default 1)
-//!       --out-dir <d>    write one `<name>.g` file per spec into <d>
-//!                        (created if missing); default: print to stdout
-//!
-//! serve options:
-//!       --addr <a>       address to bind (default 127.0.0.1:7317)
-//!   -j, --jobs <n>       synthesis worker threads (default: CPU count)
-//!       --queue-limit <n> bounded job queue; full => 429 (default 64)
-//!       --api-keys <f>   TSV keyfile (key<TAB>client<TAB>tier); without
-//!                        it every caller is one anonymous client
-//!       --rate-limit <r> base requests/sec per client (default 0 = off)
-//!       --max-inflight <n> base in-flight jobs per client (default 0 = off)
-//!       --cache-dir <d>  persistent result cache directory (default: off)
-//!       --cache-limit <n> max cached results before LRU eviction (default 256)
-//!       --breaker-threshold <n> worker failures in 10s that open the
-//!                        circuit breaker (default 8; 0 disables)
-//!       --breaker-cooldown <s> seconds the breaker stays open before a
-//!                        half-open probe (default 5)
-//! ```
+//! `simap <check|map|bench|gen|serve> ...`; `simap --help` (or `-h`, also
+//! after any subcommand) prints the usage block kept in [`USAGE`] — the
+//! subcommands and every flag each accepts — to stdout and exits 0.
 //!
 //! `simap serve` hosts the same flow as a long-running HTTP/1.1 service
-//! over one shared engine (warm elaboration cache across clients); see
-//! the `simap_serve` crate docs for the wire protocol and the gateway
-//! layers (auth, rate limiting, circuit breaker, result cache). It shuts
-//! down gracefully — draining accepted jobs — on SIGTERM or ctrl-c, and
-//! reloads the API keyfile in place on SIGHUP.
+//! over one shared engine; see the `simap_serve` crate docs for the wire
+//! protocol and the gateway layers (auth, rate limiting, circuit
+//! breaker, result cache). It shuts down gracefully — draining accepted
+//! jobs — on SIGTERM or ctrl-c, and reloads the API keyfile in place on
+//! SIGHUP.
 //!
 //! Unknown flags, flags missing their value and values that do not parse
 //! are rejected with an error naming the flag (exit code 1) instead of
@@ -81,9 +23,93 @@ use simap::{Config, Engine, StderrObserver, Synthesis};
 use std::error::Error;
 use std::process::ExitCode;
 
+/// The usage block `-h`/`--help` prints.
+const USAGE: &str = "\
+simap check <spec.g> [options]      verify the specification's properties
+simap map   <spec.g> [options]      run the full mapping flow
+simap bench list [--json]           list the embedded Table 1 circuits
+simap bench run [name ...] [opts]   batch the suite through one config
+simap gen [options]                 emit seeded `.g` corpus specs
+simap serve [options]               host the flow as an HTTP service
+simap --help                        print this usage (also -h, after any subcommand)
+
+engine options (check, map and bench run):
+      --strategy <s>   reachability engine: packed (default) | explicit | spill
+      --memory-budget <b>  spill: resident working-set cap (e.g. 256MiB)
+      --spill-dir <d>  spill: scratch directory (default: system temp)
+      --shards <n>     spill: hash partitions of the intern table
+      --checkpoint-every <n>  spill: commit a durable checkpoint every n BFS levels
+      --checkpoint-dir <d>    spill: directory the checkpoints are committed to
+      --resume <d>     spill: continue from the last checkpoint in <d>
+
+check options:
+      --bench <name>   use an embedded benchmark instead of a file
+
+map options:
+  -l, --limit <n>      literal limit (default 2)
+      --csc-repair     repair CSC violations by state-signal insertion
+      --no-verify      skip the final speed-independence verification
+      --or-limit <n>   split second-level OR gates to <= n inputs
+  -v, --verbose        narrate stages and insertions to stderr
+      --json           print the report as JSON instead of the dossier
+      --verilog <f>    write the mapped netlist as structural Verilog
+      --dot <f>        write the final state graph as Graphviz dot
+      --bench <name>   use an embedded benchmark instead of a file
+
+bench run options:
+      --limits <a,b>   literal limits (default 2)
+  -j, --jobs <n>       worker threads (default 1; results identical)
+      --csc-repair     repair CSC violations by state-signal insertion
+      --no-verify      skip speed-independence verification
+      --json|--csv     emit JSON / CSV instead of the markdown table
+
+gen options:
+      --seed <n>       corpus seed (default 0); a fixed seed gives
+                       byte-identical specs on every machine
+      --count <n>      how many specs to produce (default 1)
+      --out-dir <d>    write one `<name>.g` file per spec into <d>
+                       (created if missing); default: print to stdout
+
+serve options:
+      --addr <a>       address to bind (default 127.0.0.1:7317)
+  -j, --jobs <n>       synthesis worker threads (default: CPU count)
+      --queue-limit <n> bounded job queue; full => 429 (default 64)
+      --api-keys <f>   TSV keyfile (key<TAB>client<TAB>tier); without
+                       it every caller is one anonymous client
+      --rate-limit <r> base requests/sec per client (default 0 = off)
+      --max-inflight <n> base in-flight jobs per client (default 0 = off)
+      --cache-dir <d>  persistent result cache directory (default: off)
+      --cache-limit <n> max cached results before LRU eviction (default 256)
+      --breaker-threshold <n> worker failures in 10s that open the
+                       circuit breaker (default 8; 0 disables)
+      --breaker-cooldown <s> seconds the breaker stays open before a
+                       half-open probe (default 5)
+";
+
+/// The error a `-h`/`--help` flag raises wherever it appears; [`main`]
+/// answers it with [`USAGE`] on stdout and exit code 0.
+#[derive(Debug)]
+struct HelpRequested;
+
+impl std::fmt::Display for HelpRequested {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("help requested")
+    }
+}
+
+impl Error for HelpRequested {}
+
+fn is_help(arg: &str) -> bool {
+    arg == "-h" || arg == "--help"
+}
+
 fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
+        Err(e) if e.is::<HelpRequested>() => {
+            print!("{USAGE}");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -99,8 +125,9 @@ fn run() -> Result<ExitCode, Box<dyn Error>> {
         Some("bench") => bench(&args[1..]),
         Some("gen") => gen(&args[1..]),
         Some("serve") => serve(&args[1..]),
+        Some(arg) if is_help(arg) => Err(HelpRequested.into()),
         _ => {
-            eprintln!("usage: simap <check|map|bench|gen|serve> ...   (see --help in the README)");
+            eprintln!("usage: simap <check|map|bench|gen|serve> ...   (see simap --help)");
             Ok(ExitCode::FAILURE)
         }
     }
@@ -166,14 +193,18 @@ impl Parsed {
 /// Parses `args` against the accepted `specs`.
 ///
 /// # Errors
-/// An unknown flag, or a valued flag with no following argument.
-fn parse_flags(args: &[String], specs: &[FlagSpec]) -> Result<Parsed, String> {
+/// [`HelpRequested`] for `-h`/`--help`; otherwise an unknown flag, or a
+/// valued flag with no following argument.
+fn parse_flags(args: &[String], specs: &[FlagSpec]) -> Result<Parsed, Box<dyn Error>> {
     let mut parsed = Parsed { positionals: Vec::new(), flags: Vec::new(), values: Vec::new() };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if !arg.starts_with('-') || arg == "-" {
             parsed.positionals.push(arg.clone());
             continue;
+        }
+        if is_help(arg) {
+            return Err(HelpRequested.into());
         }
         let spec = specs
             .iter()
@@ -408,6 +439,7 @@ fn bench(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             Ok(ExitCode::SUCCESS)
         }
         Some("run") => bench_run(&args[1..]),
+        Some(arg) if is_help(arg) => Err(HelpRequested.into()),
         _ => {
             eprintln!("usage: simap bench <list|run> ...");
             Ok(ExitCode::FAILURE)
@@ -461,7 +493,6 @@ fn bench_run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
                 flag("--no-verify"),
                 flag("--json"),
                 flag("--csv"),
-                aliased(flag("--verbose"), "-v"),
             ],
         ]
         .concat(),
@@ -497,13 +528,6 @@ fn bench_run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         print!("{}", to_csv(&limits, &rows));
     } else {
         print!("{}", to_markdown(&limits, &rows));
-    }
-    if parsed.has("--verbose") {
-        let stats = engine.cache_stats();
-        eprintln!(
-            "elaboration cache: {} hits, {} misses, {} entries, {} evicted",
-            stats.hits, stats.misses, stats.entries, stats.evicted
-        );
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -16,8 +16,8 @@
 //!    `simap bench run`: parse, synthesize, print, exit. Each invocation
 //!    is a fresh process; nothing is shared.
 //! 2. **Library [`Engine`]** — embed the flow in your own long-running
-//!    program: one validated [`Config`], one thread-safe engine, a warm
-//!    elaboration cache across every run (the quickstart below).
+//!    program: one validated [`Config`], one thread-safe engine shared
+//!    by every run (the quickstart below).
 //! 3. **`simap serve`** — host the flow as an HTTP/1.1 service
 //!    ([`serve`], `simap serve --addr --jobs --queue-limit`): many
 //!    clients share ONE engine through a bounded job queue with
@@ -30,8 +30,7 @@
 //!
 //! Describe a run with one validated [`Config`], then execute it through
 //! an [`Engine`] — the thread-safe, cheaply-cloneable front door that
-//! owns the benchmark registry, the gate library and a memoized
-//! elaboration cache:
+//! owns the benchmark registry and the gate library:
 //!
 //! ```
 //! use simap::{Config, Engine};
@@ -41,16 +40,15 @@
 //! assert!(report.inserted.is_some(), "hazard is 2-input implementable");
 //! assert_eq!(report.verified, Some(true), "and provably speed-independent");
 //!
-//! // Re-running on the same engine skips STG→state-graph reachability:
-//! engine.synthesize("hazard")?;
-//! assert_eq!(engine.cache_stats().hits, 1);
+//! // Re-running on the same engine reproduces the report exactly:
+//! assert_eq!(engine.synthesize("hazard")?.si_cost, report.si_cost);
 //! # Ok::<(), simap::Error>(())
 //! ```
 //!
 //! The service tier (3) is the same engine behind a socket — a client
 //! POSTing `{"bench":"hazard"}` to `/synthesize` gets exactly the bytes
-//! `simap map --bench hazard --json` prints, and repeated requests hit
-//! the shared cache:
+//! `simap map --bench hazard --json` prints, and with `--cache-dir`
+//! repeated requests are answered from the persistent result cache:
 //!
 //! ```
 //! use simap::serve::{ServeConfig, Server};
@@ -274,7 +272,11 @@
 //! [`Synthesis::config`] / [`Batch::config`]. The BDD-based symbolic
 //! reachability strategy was removed in 0.13 without a deprecation
 //! cycle: no benchmark, workload or caller selected it, and the packed
-//! engine was faster on every embedded benchmark. Algorithm primitives
+//! engine was faster on every embedded benchmark. The engine's
+//! elaboration cache was removed in 0.14 (it skipped only reachability
+//! and CSC repair, which cost little next to decomposition);
+//! [`Engine::clear_cache`] remains as a deprecated no-op until 0.15.
+//! Algorithm primitives
 //! (`synthesize_mc`, `repair_csc`, `compute_insertion`, `build_circuit`,
 //! …) are the stable substrate the pipeline is built on.
 
@@ -290,8 +292,8 @@ pub use simap_stg as stg;
 
 pub use simap_core::pipeline;
 pub use simap_core::{
-    Batch, CacheStats, Config, ConfigBuilder, Covers, Decomposed, Elaborated, Engine, Error,
-    FlowObserver, Mapped, Stage, Synthesis, Verified,
+    Batch, Config, ConfigBuilder, Covers, Decomposed, Elaborated, Engine, Error, FlowObserver,
+    Mapped, Stage, Synthesis, Verified,
 };
 pub use simap_core::{EventObserver, FlowEvent, NullObserver, RecordingObserver, StderrObserver};
 pub use simap_stg::{ReachConfig, ReachStats, ReachStrategy};

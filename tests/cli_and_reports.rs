@@ -129,11 +129,37 @@ fn cli_rejects_unknown_flags_in_subcommands() {
         (vec!["bench", "run", "half", "--synth-jobs", "2"], "--synth-jobs"),
         (vec!["bench", "run", "half", "--record", "out.json"], "--record"),
         (vec!["check", "--bench", "half", "--materialize-limit", "5"], "--materialize-limit"),
+        (vec!["bench", "run", "half", "--verbose"], "--verbose"),
     ] {
         let out = simap(&args);
         assert!(!out.status.success(), "{args:?} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn cli_help_prints_the_usage_block_and_exits_zero() {
+    let mut usage = None;
+    for args in [
+        vec!["--help"],
+        vec!["-h"],
+        vec!["check", "--help"],
+        vec!["map", "--bench", "half", "-h"],
+        vec!["bench", "--help"],
+        vec!["bench", "list", "--help"],
+        vec!["bench", "run", "half", "-h"],
+        vec!["gen", "--help"],
+        vec!["serve", "--help"],
+    ] {
+        let out = simap(&args);
+        assert!(out.status.success(), "{args:?} must exit 0");
+        assert!(out.stderr.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(stdout.starts_with("simap check <spec.g>"), "{args:?}: {stdout}");
+        assert!(stdout.contains("serve options:"), "{args:?}: {stdout}");
+        let first = usage.get_or_insert_with(|| stdout.clone());
+        assert_eq!(*first, stdout, "{args:?}: one usage block everywhere");
     }
 }
 

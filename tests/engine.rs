@@ -1,7 +1,7 @@
-//! Integration tests of the execution layer shipped in 0.3: the
-//! validated `Config`, the cache-carrying `Engine`, and the parallel
-//! `Batch` executor — including the CI smoke test that parallel and
-//! sequential batches emit byte-identical reports.
+//! Integration tests of the execution layer: the validated `Config`, the
+//! shared `Engine`, and the parallel `Batch` executor — including the CI
+//! smoke test that parallel and sequential batches emit byte-identical
+//! reports.
 
 use simap::core::{report_json, to_csv, to_markdown};
 use simap::{
@@ -19,39 +19,49 @@ fn config_is_validated_once_at_build() {
     assert!(Config::builder().literal_limit(2).or_limit(2).build().is_ok());
 }
 
+/// Reusing an engine reproduces the first run's report byte for byte.
 #[test]
-fn engine_reuse_skips_elaboration() {
+fn engine_reuse_reproduces_reports() {
     let engine = Engine::new(Config::default());
     let first = engine.synthesize("hazard").expect("flow");
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (0, 1));
-
     let again = engine.synthesize("hazard").expect("flow");
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1), "second run must hit the cache");
-    assert_eq!(first.inserted, again.inserted);
-    assert_eq!(first.si_cost, again.si_cost);
-    assert_eq!(first.verified, again.verified);
+    assert_eq!(report_json(&first), report_json(&again));
+    assert_eq!(first.verified, Some(true));
 }
 
+/// A long-lived engine holds nothing per specification: once a run's
+/// stage is dropped, the caller's handle is the only one left on its
+/// state graph.
 #[test]
-fn engine_clones_and_config_variants_share_one_cache() {
-    let engine = Engine::new(Config::builder().verify(false).build().unwrap());
-    engine.clone().synthesize("half").expect("flow");
-    // A different literal limit does not change elaboration: hit.
-    let at3 = engine.with_config(Config::builder().literal_limit(3).build().unwrap());
-    at3.synthesize("half").expect("flow");
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-}
-
-#[test]
-fn staged_pipeline_through_engine_also_hits() {
+fn long_lived_engine_keeps_nothing_per_spec() {
     let engine = Engine::default();
-    engine.benchmark("dff").elaborate().expect("elaborates");
-    let covers = engine.benchmark("dff").elaborate().expect("cached").covers().expect("CSC");
+    let elaborated = engine.g_source(RING_G).elaborate().expect("elaborates");
+    let sg = elaborated.state_graph_arc();
+    drop(elaborated);
+    assert_eq!(Arc::strong_count(&sg), 1, "the engine must not retain the graph");
+}
+
+#[test]
+fn engine_clones_and_config_variants_agree() {
+    let engine = Engine::new(Config::builder().verify(false).build().unwrap());
+    let original = engine.synthesize("half").expect("flow");
+    let cloned = engine.clone().synthesize("half").expect("flow");
+    assert_eq!(report_json(&original), report_json(&cloned));
+    // A sibling at another literal limit runs exactly as a fresh engine.
+    let at3 = Config::builder().literal_limit(3).verify(false).build().unwrap();
+    let sibling = engine.with_config(at3.clone()).synthesize("half").expect("flow");
+    let fresh = Engine::new(at3).synthesize("half").expect("flow");
+    assert_eq!(report_json(&sibling), report_json(&fresh));
+}
+
+#[test]
+fn staged_pipeline_through_engine_matches_one_shot() {
+    let engine = Engine::default();
+    let covers = engine.benchmark("dff").elaborate().expect("elaborates").covers().expect("CSC");
     assert!(covers.mc().max_complexity() >= 2);
-    assert_eq!(engine.cache_stats().hits, 1);
+    let staged = covers.decompose().expect("decomposes").map().verify().expect("verifies");
+    let one_shot = engine.synthesize("dff").expect("flow");
+    assert_eq!(report_json(staged.report()), report_json(&one_shot));
 }
 
 #[test]
@@ -67,11 +77,6 @@ fn parallel_batch_matches_sequential() {
 
     assert_eq!(to_markdown(&limits, &sequential), to_markdown(&limits, &parallel));
     assert_eq!(to_csv(&limits, &sequential), to_csv(&limits, &parallel));
-
-    // The parallel run re-used every elaboration of the sequential one.
-    let stats = engine.cache_stats();
-    assert_eq!(stats.misses as usize, names.len());
-    assert!(stats.hits as usize >= names.len() * limits.len());
 }
 
 #[test]
@@ -81,22 +86,22 @@ fn batch_without_engine_still_works() {
     assert_eq!(rows[0].name, "half");
 }
 
+/// A two-signal handshake ring, the smallest `.g` source the flow maps.
+const RING_G: &str = ".model ring\n.inputs a\n.outputs b\n.graph\n\
+                      a+ b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n.end\n";
+
 #[test]
-fn engine_caches_g_sources_by_text() {
-    let src = ".model ring\n.inputs a\n.outputs b\n.graph\n\
-               a+ b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n.end\n";
+fn engine_reruns_g_sources_identically() {
     let engine = Engine::default();
-    engine.g_source(src).run().expect("flow");
-    engine.g_source(src).run().expect("flow");
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
+    let first = engine.g_source(RING_G).run().expect("flow");
+    let again = engine.g_source(RING_G).run().expect("flow");
+    assert_eq!(report_json(&first), report_json(&again));
 }
 
 #[test]
-fn cache_hits_emit_the_same_observer_stages_as_cold_runs() {
+fn rerun_stg_sources_emit_the_same_stages() {
     use simap::core::RecordingObserver;
     use simap::FlowObserver;
-    use std::sync::{Arc, Mutex};
 
     struct Shared(Arc<Mutex<RecordingObserver>>);
     impl FlowObserver for Shared {
@@ -113,18 +118,16 @@ fn cache_hits_emit_the_same_observer_stages_as_cold_runs() {
         let stages = rec.lock().unwrap().stages.clone();
         stages
     };
-    let cold = record(&engine, &stg);
-    let warm = record(&engine, &stg);
-    assert_eq!(engine.cache_stats().hits, 1, "second elaboration must be a hit");
-    assert_eq!(cold, warm, "cache hits must replay the cold stage stream");
-    assert!(!cold.contains(&Stage::Load), "STG sources have no load stage");
+    let first = record(&engine, &stg);
+    let again = record(&engine, &stg);
+    assert_eq!(first, again, "a rerun must emit the same stage stream");
+    assert_eq!(first, [Stage::Elaborate], "STG sources have no load stage");
 }
 
 #[test]
-fn cache_hits_replay_csc_conflicts_and_repairs() {
+fn reruns_emit_the_same_csc_conflicts_and_repairs() {
     use simap::core::RecordingObserver;
     use simap::FlowObserver;
-    use std::sync::{Arc, Mutex};
 
     struct Shared(Arc<Mutex<RecordingObserver>>);
     impl FlowObserver for Shared {
@@ -136,22 +139,17 @@ fn cache_hits_replay_csc_conflicts_and_repairs() {
         }
     }
 
-    // a+ ; b+ ; b- ; a- over two outputs: code 10 repeats, the textbook
-    // CSC conflict, repairable with one state signal.
-    let src = ".model cscdemo\n.outputs a b\n.graph\n\
-               a+ b+\nb+ b-\nb- a-\na- a+\n.marking { <a-,a+> }\n.end\n";
     let engine = Engine::new(Config::builder().repair_csc(true).build().unwrap());
     let record = |engine: &Engine| {
         let rec = Arc::new(Mutex::new(RecordingObserver::default()));
-        engine.g_source(src).observer(Shared(rec.clone())).elaborate().unwrap();
+        engine.g_source(CSC_CONFLICTED_G).observer(Shared(rec.clone())).elaborate().unwrap();
         let seen = rec.lock().unwrap();
         (seen.conflict_counts.clone(), seen.csc_insertions.clone())
     };
-    let cold = record(&engine);
-    let warm = record(&engine);
-    assert_eq!(engine.cache_stats().hits, 1, "second elaboration must be a hit");
-    assert!(!cold.1.is_empty(), "repair must have inserted a state signal");
-    assert_eq!(cold, warm, "hits must replay conflict and repair events");
+    let first = record(&engine);
+    let again = record(&engine);
+    assert!(!first.1.is_empty(), "repair must have inserted a state signal");
+    assert_eq!(first, again, "a rerun must emit the same conflict and repair events");
 }
 
 #[test]
@@ -184,46 +182,40 @@ fn pipeline_runs_on_every_strategy() {
     }
 }
 
-/// The strategy is part of the cache key, and hits replay the stats of
-/// the run that filled the entry.
+/// A `with_config` sibling elaborates with its own strategy, and the
+/// original engine keeps its own.
 #[test]
-fn engine_caches_each_strategy_separately() {
+fn with_config_switches_the_reach_strategy() {
     let engine = Engine::new(strategy_config(ReachStrategy::Explicit));
     let first = engine.benchmark("half").elaborate().unwrap();
     assert_eq!(first.reach_stats().unwrap().strategy, ReachStrategy::Explicit);
-    let again = engine.benchmark("half").elaborate().unwrap();
-    assert_eq!(again.reach_stats().unwrap().strategy, ReachStrategy::Explicit);
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
 
     let packed = engine.with_config(Config::default());
     let other = packed.benchmark("half").elaborate().unwrap();
     assert_eq!(other.reach_stats().unwrap().strategy, ReachStrategy::Packed);
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+    let again = engine.benchmark("half").elaborate().unwrap();
+    assert_eq!(again.reach_stats().unwrap().strategy, ReachStrategy::Explicit);
 }
 
-/// The spill knobs key the cache only under the spill strategy: the
-/// in-memory strategies ignore them, so a different budget is a hit.
+/// The spill knobs take effect only under the spill strategy: the
+/// in-memory strategies ignore them and report no spill counters.
 #[test]
-fn spill_knobs_key_the_cache_only_under_spill() {
-    let engine = Engine::new(Config::default());
-    engine.benchmark("half").elaborate().unwrap();
+fn spill_knobs_take_effect_only_under_spill() {
     let budget = |strategy, bytes| {
         Config::builder().reach_strategy(strategy).reach_memory_budget(bytes).build().unwrap()
     };
-    engine.with_config(budget(ReachStrategy::Packed, 4096)).benchmark("half").elaborate().unwrap();
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    let engine = Engine::new(Config::default());
+    let packed = engine.with_config(budget(ReachStrategy::Packed, 4096));
+    let elaborated = packed.benchmark("half").elaborate().unwrap();
+    assert!(elaborated.reach_stats().unwrap().spill.is_none());
 
     let default_budget = ReachConfig::default().memory_budget;
     for bytes in [default_budget, 4096] {
         let spilled = engine.with_config(budget(ReachStrategy::Spill, bytes));
         let elaborated = spilled.benchmark("half").elaborate().unwrap();
-        assert!(elaborated.reach_stats().unwrap().spill.is_some(), "budget {bytes}");
+        let spill = elaborated.reach_stats().unwrap().spill.expect("spill counters");
+        assert_eq!(spill.budget, bytes as u64);
     }
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
 }
 
 /// `Elaborated::reach_stats` names the strategy through the whole stack,
@@ -293,8 +285,8 @@ fn signal_synth_events_replay_in_signal_index_order() {
 }
 
 /// A `.g` specification with a textbook CSC conflict (the code `10` is
-/// visited twice with different futures), used to exercise the
-/// conflict/repair replay path of the engine cache.
+/// visited twice with different futures), repairable with one state
+/// signal.
 const CSC_CONFLICTED_G: &str = "\
 .model cscdemo
 .outputs a b
@@ -307,46 +299,47 @@ a- a+
 .end
 ";
 
-/// Cold and cached elaborations must emit identical event streams —
-/// stage events, CSC conflicts, CSC repairs and per-signal progress all
-/// replay in the same canonical order.
+/// A run through an engine and a standalone run emit identical event
+/// streams — stage events, CSC conflicts, CSC repairs and per-signal
+/// progress, all in the same canonical order.
 #[test]
-fn cold_and_cached_event_streams_match() {
+fn engine_and_standalone_event_streams_match() {
     let base = Config::builder().repair_csc(true).verify(false).build().expect("valid config");
     let engine = Engine::new(base.clone());
-    let (cold_report, cold_events) = run_with_events(engine.g_source(CSC_CONFLICTED_G), &base);
-    assert_eq!(engine.cache_stats().hits, 0, "first run is cold");
-    let (cached_report, cached_events) = run_with_events(engine.g_source(CSC_CONFLICTED_G), &base);
-    assert!(engine.cache_stats().hits >= 1, "second run replays from the cache");
-    assert_eq!(cached_report, cold_report, "cached report");
-    assert_eq!(cached_events, cold_events, "cached event stream");
-    // The stream really exercised the conflict/repair replay.
+    let (engine_report, engine_events) = run_with_events(engine.g_source(CSC_CONFLICTED_G), &base);
+    let (standalone_report, standalone_events) =
+        run_with_events(Synthesis::from_g_source(CSC_CONFLICTED_G), &base);
+    assert_eq!(engine_report, standalone_report, "report");
+    assert_eq!(engine_events, standalone_events, "event stream");
+    // The stream really exercised conflict reporting and repair.
     for kind in ["csc_conflicts", "csc_repair", "signal_synth"] {
         assert!(
-            cold_events.iter().any(|e| e.starts_with(&format!("{{\"event\":\"{kind}\""))),
-            "{cold_events:?}"
+            engine_events.iter().any(|e| e.starts_with(&format!("{{\"event\":\"{kind}\""))),
+            "{engine_events:?}"
         );
     }
 }
 
-/// Suite-wide replay: for every embedded benchmark, a cached rerun
-/// through the same engine yields the cold run's JSON report and event
-/// stream byte for byte. Debug builds skip the circuits above 400
-/// states (the release-mode CI conformance job covers the full suite).
+/// Suite-wide: for every embedded benchmark, a run that resolves the STG
+/// through an engine's registry yields the standalone run's JSON report
+/// and event stream byte for byte. Debug builds skip the circuits above
+/// 400 states (the release-mode CI conformance job covers the full
+/// suite).
 #[test]
-fn benchmark_suite_cold_and_cached_runs_match() {
+fn benchmark_suite_engine_and_standalone_runs_match() {
     let config = Config::builder().verify(false).build().expect("valid config");
+    let engine = Engine::new(config.clone());
     for &name in simap::stg::benchmark_names() {
-        // Warms the engine's cache; the flow below then replays from it.
-        let engine = Engine::new(config.clone());
-        let elaborated = engine.benchmark(name).elaborate().expect("benchmark elaborates");
-        if cfg!(debug_assertions) && elaborated.state_graph().state_count() > 400 {
-            continue;
+        if cfg!(debug_assertions) {
+            let elaborated = engine.benchmark(name).elaborate().expect("benchmark elaborates");
+            if elaborated.state_graph().state_count() > 400 {
+                continue;
+            }
         }
-        let (cold_report, cold_events) = run_with_events(Synthesis::from_benchmark(name), &config);
-        let (cached_report, cached_events) = run_with_events(engine.benchmark(name), &config);
-        assert!(engine.cache_stats().hits >= 1, "{name}: rerun replays from the cache");
-        assert_eq!(cached_report, cold_report, "{name}: cached report");
-        assert_eq!(cached_events, cold_events, "{name}: cached event stream");
+        let (standalone_report, standalone_events) =
+            run_with_events(Synthesis::from_benchmark(name), &config);
+        let (engine_report, engine_events) = run_with_events(engine.benchmark(name), &config);
+        assert_eq!(engine_report, standalone_report, "{name}: report");
+        assert_eq!(engine_events, standalone_events, "{name}: event stream");
     }
 }

@@ -1,7 +1,6 @@
 //! Concurrency torture of the shared [`simap::Engine`]: many threads
 //! hammering one engine over mixed benchmarks and configurations must
-//! produce reports byte-identical to a sequential baseline, while the
-//! elaboration-cache counters stay sane and monotone.
+//! produce reports byte-identical to a sequential baseline.
 
 use simap::core::report_json;
 use simap::{Config, Engine};
@@ -32,15 +31,13 @@ fn threads_hammering_one_engine_match_sequential_reports() {
     }
 
     // The hammered engine. Every thread mixes benchmarks, limits and
-    // repeat rounds; the (hits, misses) counters must be monotone from
-    // every thread's point of view.
+    // repeat rounds.
     let engine = Engine::new(config_at(2));
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let engine = engine.clone();
             let baseline = &baseline;
             scope.spawn(move || {
-                let mut last = engine.cache_stats();
                 for round in 0..ROUNDS {
                     // Interleave differently per thread so benchmarks and
                     // limits race in all orders.
@@ -57,35 +54,11 @@ fn threads_hammering_one_engine_match_sequential_reports() {
                             baseline[&(name, limit)],
                             "{name}@{limit} diverged under concurrency (thread {t})"
                         );
-                        let stats = engine.cache_stats();
-                        assert!(stats.hits >= last.hits, "hits ran backwards: {stats:?} {last:?}");
-                        assert!(
-                            stats.misses >= last.misses,
-                            "misses ran backwards: {stats:?} {last:?}"
-                        );
-                        assert!(
-                            stats.hits + stats.misses > last.hits + last.misses,
-                            "this thread's own elaboration must be counted"
-                        );
-                        last = stats;
                     }
                 }
             });
         }
     });
-
-    let total_runs = (THREADS * ROUNDS * BENCHES.len() * LIMITS.len()) as u64;
-    let stats = engine.cache_stats();
-    // Every elaboration was either a hit or a (stored) miss.
-    assert_eq!(stats.hits + stats.misses, total_runs, "{stats:?}");
-    // The literal limit is not part of the elaboration key, so the
-    // distinct entries are exactly the benchmarks.
-    assert_eq!(stats.entries, BENCHES.len(), "{stats:?}");
-    // Lookup+store is not one atomic section, so concurrent first visits
-    // may each miss — but never more than one miss per (thread, key).
-    assert!(stats.misses >= BENCHES.len() as u64, "{stats:?}");
-    assert!(stats.misses <= (THREADS * BENCHES.len()) as u64, "{stats:?}");
-    assert!(stats.hits >= total_runs - (THREADS * BENCHES.len()) as u64, "{stats:?}");
 }
 
 #[test]
@@ -124,8 +97,6 @@ fn mixed_strategies_share_the_engine_without_cross_talk() {
             });
         }
     });
-    // One cache entry per strategy (strategy is part of the key).
-    assert_eq!(engine.cache_stats().entries, strategies.len());
 }
 
 #[test]

@@ -291,10 +291,9 @@ proptest! {
     /// The execution-layer determinism contract: for random benchmark
     /// subsets, literal limits and job counts, a parallel `Batch` emits
     /// byte-identical reports to a sequential one, and re-running the
-    /// batch on the same `Engine` answers every elaboration from the
-    /// cache (nonzero hits, no new misses).
+    /// batch on the same `Engine` reproduces them.
     #[test]
-    fn parallel_batch_is_deterministic_and_caches(
+    fn parallel_batch_is_deterministic_and_repeatable(
         subset in 1usize..32,
         limit in 2usize..4,
         jobs in 2usize..5,
@@ -319,12 +318,7 @@ proptest! {
         prop_assert_eq!(to_markdown(&limits, &sequential), to_markdown(&limits, &parallel));
         prop_assert_eq!(to_csv(&limits, &sequential), to_csv(&limits, &parallel));
 
-        let before = engine.cache_stats();
-        prop_assert_eq!(before.misses as usize, names.len(), "one elaboration per name");
         let again = engine.batch(names.clone()).limits(limits).jobs(jobs).run().expect("rerun");
         prop_assert_eq!(to_csv(&limits, &sequential), to_csv(&limits, &again));
-        let after = engine.cache_stats();
-        prop_assert_eq!(after.misses, before.misses, "no new elaborations on reuse");
-        prop_assert!(after.hits > before.hits, "the rerun must report cache hits");
     }
 }

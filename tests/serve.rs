@@ -1,6 +1,6 @@
 //! Integration tests of `simap serve` over a real TCP socket: responses
 //! byte-identical to the CLI's `--json` output, ≥4 concurrent clients
-//! sharing one warm engine, queue-full backpressure (429), async job
+//! sharing one engine, queue-full backpressure (429), async job
 //! polling, NDJSON streaming, `/metrics` accounting and graceful
 //! shutdown.
 
@@ -108,12 +108,12 @@ fn synthesize_and_batch_are_byte_identical_to_the_cli() {
 }
 
 #[test]
-fn concurrent_clients_share_one_warm_engine() {
+fn concurrent_clients_share_one_engine() {
     let (handle, join) = start(4, 64);
     let addr = handle.addr();
     let benches = ["half", "hazard", "dff", "chu133"];
 
-    // Reference bodies, sequentially (also warms the shared engine).
+    // Reference bodies, sequentially.
     let mut reference = Vec::new();
     for name in benches {
         let (status, body) =
@@ -139,15 +139,10 @@ fn concurrent_clients_share_one_warm_engine() {
         }
     });
 
-    // The shared engine answered the repeats from its elaboration cache.
     let (status, metrics) = http(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let doc = json::parse(metrics.trim_end()).expect("metrics is JSON");
-    let engine = doc.get("engine").expect("engine section");
-    let hits = engine.get("hits").and_then(Json::as_usize).unwrap();
-    let misses = engine.get("misses").and_then(Json::as_usize).unwrap();
-    assert!(hits >= 6 * 2 * benches.len(), "cache hits {hits} too low");
-    assert!(misses <= benches.len() + 4, "misses {misses} should be ~one per benchmark");
+    assert!(doc.get("engine").is_none(), "the engine keeps no cache to report");
     // Request accounting and stage latency histograms are populated.
     let requests = doc.get("requests").expect("requests section");
     let synth = requests.get("by_endpoint").unwrap().get("synthesize").unwrap().as_usize().unwrap();
