@@ -219,3 +219,70 @@ fn every_g_text_constant_parses() {
         assert_eq!(stg.name(), name);
     }
 }
+
+/// Where the committed Table 1 snapshot lives.
+const TABLE1_GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/table1.tsv");
+
+/// Golden Table 1: per circuit, the signals inserted at i = 2/3/4, the
+/// local-acknowledgment baseline's 2-input verdict, the non-SI and SI
+/// costs (literals/C elements) and the i = 2 verification verdict, as
+/// `table1_row` computes them. Debug builds check the circuits of at most
+/// 400 states; release builds check all 32. Regenerate (in release, so
+/// every row is written) after an intentional change with:
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test --release --test benchmark_suite golden_table1
+/// ```
+#[test]
+fn golden_table1_snapshot() {
+    let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
+    assert!(!(update && cfg!(debug_assertions)), "regenerate in release: debug runs skip rows");
+    let engine = simap::Engine::default();
+    let mut table = String::from("# circuit\ti2\ti3\ti4\tlocal_ack_2in\tnon_si\tsi\tverified\n");
+    let mut checked: Vec<&str> = Vec::new();
+    for &name in benchmark_names() {
+        if cfg!(debug_assertions) && simap_bench::benchmark_sg(name).state_count() > 400 {
+            continue;
+        }
+        let row = simap_bench::table1_row(&engine, name, true);
+        let inserted = row.inserted.map(simap_bench::format_inserted);
+        let verified = match row.verified {
+            Some(true) => "yes",
+            Some(false) => "no",
+            None => "-",
+        };
+        table.push_str(&format!(
+            "{name}\t{}\t{}\t{}\t{}\t{}\t{}\t{verified}\n",
+            inserted[0],
+            inserted[1],
+            inserted[2],
+            if row.siegel_two_input { "yes" } else { "no" },
+            row.non_si,
+            row.si,
+        ));
+        checked.push(name);
+    }
+    if update {
+        std::fs::write(TABLE1_GOLDEN_PATH, &table).expect("write golden snapshot");
+        eprintln!("regenerated {TABLE1_GOLDEN_PATH}");
+        return;
+    }
+    let golden = std::fs::read_to_string(TABLE1_GOLDEN_PATH).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {TABLE1_GOLDEN_PATH}: {e}\n\
+             regenerate it with: UPDATE_GOLDEN=1 cargo test --release --test benchmark_suite \
+             golden_table1"
+        )
+    });
+    let expected: String = golden
+        .lines()
+        .filter(|line| line.starts_with('#') || checked.contains(&line.split('\t').next().unwrap()))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(
+        table, expected,
+        "Table 1 drifted from the committed snapshot; if the change is intentional, \
+         regenerate it with:\n    UPDATE_GOLDEN=1 cargo test --release --test benchmark_suite \
+         golden_table1"
+    );
+}
