@@ -5,6 +5,31 @@
 //! everything else (unreachable codes) is an implicit don't-care. This is
 //! exactly the setting of espresso's `expand`/`irredundant`/`reduce` loop
 //! with an OFF-set oracle, which we implement here in a compact form.
+//!
+//! # Bit-sliced expand
+//!
+//! `expand` drops a cube's literals one at a time, in the problem's
+//! variable order, keeping a drop only while the widened cube still
+//! avoids every OFF minterm. Each `minimize` call slices the sorted OFF
+//! list once into one bitset per literal: bit `j` of literal `x̄ᵥ`'s set
+//! is 1 iff OFF minterm `j` has `v = 0`. A cube contains OFF minterm `j`
+//! iff bit `j` is set in the AND of its literals' sets, so every drop test
+//! is a word-parallel AND over `⌈|OFF|/64⌉` words instead of a scan of the
+//! OFF list.
+//!
+//! One pass over the variable order decides every literal. Before the
+//! pass, the suffix ANDs of the cube's literal sets are precomputed; at
+//! literal `i`, the kept prefix (the AND of the literals kept so far)
+//! meets `suffix[i+1]` (the literals not yet tested) exactly on the OFF
+//! minterms the cube would contain without literal `i`, so literal `i`
+//! drops iff `kept_prefix & suffix[i+1] == 0`.
+//!
+//! One pass is enough because drop-legality is monotone: a cube only grows
+//! during expansion, and a cube that contains an OFF minterm keeps
+//! containing it as it grows. A drop refused once is refused forever, so
+//! the classic formulation — repeat passes until none drops a literal —
+//! makes the same decisions and stops after its second pass. The tests
+//! keep that fixpoint loop as an oracle and compare the two.
 
 use crate::cover::Cover;
 use crate::cube::{Cube, MAX_VARS};
@@ -94,13 +119,14 @@ impl MinimizeProblem {
         if self.off.is_empty() {
             return Cover::one();
         }
-        let expanded = self.expand_all();
-        let mut cover = self.irredundant(&expanded);
+        let mut expander = Expander::new(self);
+        let expanded = self.expand_all(&mut expander);
+        let mut cover = self.irredundant(&expanded, &mut expander);
         // One reduce/re-expand pass often removes an extra literal or cube.
         for _ in 0..2 {
             let reduced = self.reduce(&cover);
-            let re_expanded: Vec<Cube> = reduced.iter().map(|c| self.expand_cube(*c)).collect();
-            let candidate = self.irredundant(&re_expanded);
+            let re_expanded: Vec<Cube> = reduced.iter().map(|c| expander.expand(*c)).collect();
+            let candidate = self.irredundant(&re_expanded, &mut expander);
             if cost(&candidate) < cost(&cover) {
                 cover = candidate;
             } else {
@@ -113,11 +139,11 @@ impl MinimizeProblem {
     }
 
     /// Expands each ON minterm into a prime-like cube against the OFF list.
-    fn expand_all(&self) -> Vec<Cube> {
+    fn expand_all(&self, expander: &mut Expander) -> Vec<Cube> {
         let mut seen = HashSet::new();
         let mut cubes = Vec::new();
         for &m in &self.on {
-            let cube = self.expand_cube(Cube::minterm(m, self.nvars));
+            let cube = expander.expand(Cube::minterm(m, self.nvars));
             if seen.insert(cube) {
                 cubes.push(cube);
             }
@@ -125,9 +151,12 @@ impl MinimizeProblem {
         cubes
     }
 
-    /// Greedily removes literals from `cube` while it stays disjoint from
-    /// the OFF-set, trying variables in the problem's precomputed order.
-    fn expand_cube(&self, cube: Cube) -> Cube {
+    /// The scalar fixpoint expander, kept as the oracle for [`Expander`]:
+    /// greedily removes literals from `cube` while it stays disjoint from
+    /// the OFF-set, trying variables in the problem's precomputed order,
+    /// and repeats until a pass drops nothing.
+    #[cfg(test)]
+    fn expand_cube_scalar(&self, cube: Cube) -> Cube {
         let mut cube = cube;
         let mut changed = true;
         while changed {
@@ -149,7 +178,7 @@ impl MinimizeProblem {
     /// Minimum-ish cover of the ON minterms by the candidate cubes:
     /// essential candidates first (sole cover of some minterm), then
     /// greedy set-cover on the rest.
-    fn irredundant(&self, candidates: &[Cube]) -> Cover {
+    fn irredundant(&self, candidates: &[Cube], expander: &mut Expander) -> Cover {
         let mut uncovered: HashSet<u64> = self.on.iter().copied().collect();
         let mut chosen: Vec<Cube> = Vec::new();
 
@@ -186,7 +215,7 @@ impl MinimizeProblem {
                 Some((_, _, c)) => c,
                 None => {
                     let &m = uncovered.iter().next().expect("loop guard");
-                    self.expand_cube(Cube::minterm(m, self.nvars))
+                    expander.expand(Cube::minterm(m, self.nvars))
                 }
             };
             uncovered.retain(|&m| !cube.eval(m));
@@ -233,6 +262,84 @@ impl MinimizeProblem {
         MinimizeProblem::new(self.nvars, self.off.clone(), self.on.clone())
             .expect("swapped sets stay disjoint")
             .minimize()
+    }
+}
+
+/// The bit-sliced OFF-set oracle behind `expand` (see the module docs),
+/// built once per [`MinimizeProblem::minimize`] call and reused for every
+/// cube it expands.
+struct Expander<'a> {
+    problem: &'a MinimizeProblem,
+    /// `u64` words per bitset over the OFF list.
+    words: usize,
+    /// `2 * nvars + 1` bitsets of `words` words each: the set of literal
+    /// `x̄ᵥ` at row `2v`, of `xᵥ` at row `2v + 1` (`Literal::index`), then
+    /// the full set (every OFF minterm) in the last row.
+    rows: Vec<u64>,
+    /// Rows `0..=n` hold the suffix ANDs of a cube's `n` literals, row
+    /// `n + 1` the kept prefix; sized for `nvars` literals once.
+    scratch: Vec<u64>,
+}
+
+impl<'a> Expander<'a> {
+    fn new(problem: &'a MinimizeProblem) -> Self {
+        let nvars = problem.nvars;
+        let words = problem.off.len().div_ceil(64);
+        let mut rows = vec![0u64; (2 * nvars + 1) * words];
+        for (j, &m) in problem.off.iter().enumerate() {
+            let (k, bit) = (j / 64, 1u64 << (j % 64));
+            for v in 0..nvars {
+                let row = 2 * v + usize::from(m >> v & 1 == 1);
+                rows[row * words + k] |= bit;
+            }
+            rows[2 * nvars * words + k] |= bit;
+        }
+        Expander { problem, words, rows, scratch: vec![0; (nvars + 2) * words] }
+    }
+
+    /// The OFF minterms that satisfy literal row `row`.
+    fn row(&self, row: usize) -> &[u64] {
+        &self.rows[row * self.words..(row + 1) * self.words]
+    }
+
+    /// Expands `cube` against the OFF-set in one pass over the problem's
+    /// variable order; the same cube the scalar fixpoint loop returns.
+    fn expand(&mut self, mut cube: Cube) -> Cube {
+        let words = self.words;
+        // The cube's literals in expansion order, as (variable, row).
+        let mut literals = [(0usize, 0usize); MAX_VARS];
+        let mut n = 0;
+        for &v in &self.problem.var_order {
+            if let Some(phase) = cube.phase_of(v) {
+                literals[n] = (v, 2 * v + usize::from(phase));
+                n += 1;
+            }
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (suffix, kept) = scratch.split_at_mut((n + 1) * words);
+        let kept = &mut kept[..words];
+        let full = self.row(2 * self.problem.nvars);
+        suffix[n * words..].copy_from_slice(full);
+        kept.copy_from_slice(full);
+        for i in (0..n).rev() {
+            let (head, tail) = suffix.split_at_mut((i + 1) * words);
+            let lit = self.row(literals[i].1);
+            for ((out, &next), &l) in head[i * words..].iter_mut().zip(&tail[..words]).zip(lit) {
+                *out = next & l;
+            }
+        }
+        for (i, &(v, row)) in literals[..n].iter().enumerate() {
+            let rest = &suffix[(i + 1) * words..(i + 2) * words];
+            if kept.iter().zip(rest).all(|(&k, &r)| k & r == 0) {
+                cube = cube.without_var(v);
+            } else {
+                for (k, &l) in kept.iter_mut().zip(self.row(row)) {
+                    *k &= l;
+                }
+            }
+        }
+        self.scratch = scratch;
+        cube
     }
 }
 
@@ -379,6 +486,240 @@ mod tests {
         assert!(f.covers_all(&on));
         assert!(f.avoids_all(&off));
         assert_eq!(f.cube_count(), 2, "two essential primes suffice: {f:?}");
+    }
+
+    /// Random-problem case count (`SIMAP_EXPAND_CASES` raises it for a
+    /// deeper sweep).
+    fn cases() -> usize {
+        std::env::var("SIMAP_EXPAND_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
+    }
+
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    fn swapped(p: &MinimizeProblem) -> MinimizeProblem {
+        MinimizeProblem::new(p.nvars, p.off.clone(), p.on.clone()).expect("disjoint")
+    }
+
+    /// Asserts that the bit-sliced expander returns the scalar oracle's
+    /// cube for every cube `minimize` can hand it: each ON minterm, each
+    /// cube of the reduce step, and every cube in `extra`.
+    fn assert_expander_matches_oracle(p: &MinimizeProblem, extra: &[Cube]) {
+        let mut expander = Expander::new(p);
+        let mut cubes: Vec<Cube> = p.on.iter().map(|&m| Cube::minterm(m, p.nvars)).collect();
+        if !p.on.is_empty() && !p.off.is_empty() {
+            let expanded = p.expand_all(&mut expander);
+            cubes.extend(p.reduce(&p.irredundant(&expanded, &mut expander)));
+        }
+        cubes.extend_from_slice(extra);
+        for cube in cubes {
+            assert_eq!(
+                expander.expand(cube),
+                p.expand_cube_scalar(cube),
+                "nvars {} |on| {} |off| {} cube {cube:?}",
+                p.nvars,
+                p.on.len(),
+                p.off.len()
+            );
+        }
+    }
+
+    #[test]
+    fn bit_sliced_expand_matches_scalar_oracle() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..cases() {
+            for nvars in 1..=MAX_VARS {
+                let mask = if nvars == MAX_VARS { u64::MAX } else { (1u64 << nvars) - 1 };
+                // Codes vary on at most 10 variables around a random base,
+                // so many literals matter and drops are often refused.
+                let base = next() & mask;
+                let mut free = 0u64;
+                while free.count_ones() < nvars.min(10) as u32 {
+                    free |= 1u64 << (next() % nvars as u64);
+                }
+                let space = 1usize << free.count_ones();
+                // OFF lengths around the 64-bit word boundaries.
+                for off_len in [0, 1, 63, 64, 65, 128, 129] {
+                    let off_len = off_len.min(space - 1);
+                    let on_len = 1 + (next() % 16) as usize;
+                    let mut off = HashSet::new();
+                    while off.len() < off_len {
+                        off.insert(base ^ (next() & free));
+                    }
+                    let mut on = HashSet::new();
+                    for _ in 0..4 * on_len {
+                        let code = base ^ (next() & free);
+                        if on.len() < on_len && !off.contains(&code) {
+                            on.insert(code);
+                        }
+                    }
+                    let p = MinimizeProblem::new(
+                        nvars,
+                        on.into_iter().collect(),
+                        off.into_iter().collect(),
+                    )
+                    .expect("disjoint by construction");
+                    // Sub-cubes of ON minterms: any cube, OFF-free or not.
+                    let extra: Vec<Cube> = p
+                        .on
+                        .iter()
+                        .map(|&m| {
+                            let keep = next();
+                            Cube::from_masks(m & mask & keep, !m & mask & keep).expect("consistent")
+                        })
+                        .collect();
+                    assert_expander_matches_oracle(&p, &extra);
+                    assert_expander_matches_oracle(&swapped(&p), &[]);
+                }
+            }
+        }
+    }
+
+    /// Calls `check` on every two-level problem `synthesize_mc` (in
+    /// `simap-core`) builds for `sg`, rebuilt here in the same order and
+    /// with the same ON/OFF sets: per implementable signal the projected
+    /// next-state split and its complement; per group of excitation
+    /// regions the cover split, each monotonicity repair of it and the
+    /// fallback; per group cover the complement of its split of the
+    /// reachable codes (the gate-complexity estimate). Each split is
+    /// checked before its cover feeds a later one, so the rebuild tracks
+    /// the synthesizer for as long as the checks pass.
+    fn for_each_synthesis_problem(
+        sg: &simap_sg::StateGraph,
+        check: &mut dyn FnMut(&MinimizeProblem),
+    ) {
+        use simap_sg::{regions_of, Event, Region, StateId};
+        let nvars = sg.signal_count();
+        let universe = sg.reachable_codes();
+        let codes = |states: &mut dyn Iterator<Item = StateId>| -> HashSet<u64> {
+            states.map(|s| sg.code(s)).collect()
+        };
+        for signal in sg.implementable_signals() {
+            let (mut on, mut off) = (Vec::new(), Vec::new());
+            for s in sg.states() {
+                let rise = sg.enabled(s, Event::rise(signal));
+                let fall = sg.enabled(s, Event::fall(signal));
+                let code = sg.code(s) & !(1u64 << signal.0);
+                if rise || (sg.value(s, signal) && !fall) {
+                    on.push(code);
+                } else {
+                    off.push(code);
+                }
+            }
+            if let Ok(p) = MinimizeProblem::new(nvars, on, off) {
+                check(&p);
+                check(&swapped(&p));
+            }
+            for event in [Event::rise(signal), Event::fall(signal)] {
+                let regions: Vec<Region> = regions_of(sg, event);
+                let members = |group: &[usize]| -> HashSet<StateId> {
+                    group
+                        .iter()
+                        .flat_map(|&r| regions[r].er.iter().chain(regions[r].qr.iter()))
+                        .collect()
+                };
+                let on_dc = |group: &[usize]| {
+                    let on = codes(&mut group.iter().flat_map(|&r| regions[r].er.iter()));
+                    let dc = codes(&mut group.iter().flat_map(|&r| regions[r].qr.iter()));
+                    (on, dc)
+                };
+                // Merge groups whose ER codes reach a state of another group.
+                let mut groups: Vec<Vec<usize>> = (0..regions.len()).map(|i| vec![i]).collect();
+                'merge: loop {
+                    for gi in 0..groups.len() {
+                        let (on, dc) = on_dc(&groups[gi]);
+                        let member = members(&groups[gi]);
+                        for s in sg.states().filter(|s| !member.contains(s)) {
+                            if on.contains(&sg.code(s)) && !dc.contains(&sg.code(s)) {
+                                let other = (0..groups.len()).find(|&gj| {
+                                    gj != gi
+                                        && groups[gj].iter().any(|&r| {
+                                            regions[r].er.contains(s) || regions[r].qr.contains(s)
+                                        })
+                                });
+                                if let Some(other) = other {
+                                    let merged = groups.remove(other.max(gi));
+                                    groups[other.min(gi)].extend(merged);
+                                    continue 'merge;
+                                }
+                            }
+                        }
+                    }
+                    break;
+                }
+                for group in &groups {
+                    let (on, dc) = on_dc(group);
+                    let member = members(group);
+                    let off: HashSet<u64> = codes(&mut sg.states().filter(|s| !member.contains(s)))
+                        .into_iter()
+                        .filter(|c| !on.contains(c) && !dc.contains(c))
+                        .collect();
+                    let in_qr = |s: StateId| group.iter().any(|&r| regions[r].qr.contains(s));
+                    let mut extra_off: HashSet<u64> = HashSet::new();
+                    let mut cover = None;
+                    for _ in 0..16 {
+                        let p = MinimizeProblem::new(
+                            nvars,
+                            on.iter().copied().collect(),
+                            off.iter().chain(&extra_off).copied().collect(),
+                        )
+                        .expect("the embedded circuits have CSC");
+                        check(&p);
+                        let f = p.minimize();
+                        let violations: Vec<u64> = member
+                            .iter()
+                            .flat_map(|&s| sg.succ(s).iter().map(move |&(_, t)| (s, t)))
+                            .filter(|&(s, t)| in_qr(t) && !f.eval(sg.code(s)) && f.eval(sg.code(t)))
+                            .map(|(_, t)| sg.code(t))
+                            .collect();
+                        if violations.is_empty() {
+                            cover = Some(f);
+                            break;
+                        }
+                        let before = extra_off.len();
+                        extra_off.extend(violations);
+                        if extra_off.len() == before {
+                            break;
+                        }
+                    }
+                    let cover = cover.unwrap_or_else(|| {
+                        let all: HashSet<u64> = on.union(&dc).copied().collect();
+                        let rest = universe.iter().copied().filter(|c| !all.contains(c)).collect();
+                        let p = MinimizeProblem::new(nvars, all.into_iter().collect(), rest)
+                            .expect("the embedded circuits have CSC");
+                        check(&p);
+                        p.minimize()
+                    });
+                    let (on, off) = universe.iter().partition(|&&c| cover.eval(c));
+                    if let Ok(p) = MinimizeProblem::new(nvars, on, off) {
+                        check(&swapped(&p));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bit_sliced_expand_matches_scalar_oracle_on_state_graph_splits() {
+        let mut problems = 0usize;
+        for &name in simap_stg::benchmark_names() {
+            let stg = simap_stg::benchmark(name).expect("known benchmark");
+            let sg = simap_stg::elaborate(&stg).expect("benchmark elaborates");
+            if cfg!(debug_assertions) && sg.state_count() > 400 {
+                continue;
+            }
+            for_each_synthesis_problem(&sg, &mut |p| {
+                problems += 1;
+                assert_expander_matches_oracle(p, &[]);
+            });
+        }
+        assert!(problems > 0);
     }
 
     #[test]

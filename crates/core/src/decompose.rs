@@ -141,18 +141,32 @@ pub fn decompose_with(
     config: &DecomposeConfig,
     observer: &mut dyn FlowObserver,
 ) -> Result<DecomposeResult, McError> {
-    let mut sg = sg.clone();
-    let mut mc = synthesize_mc(&sg)?;
+    let mc = synthesize_mc(sg)?;
+    decompose_from(sg.clone(), mc, config, observer).map_err(|failed| failed.0)
+}
+
+/// The decomposition loop from `mc`, an implementation of `initial` that
+/// the caller has already synthesized (the Covers stage holds one). On a
+/// resynthesis failure the error comes back with `initial`, so the caller
+/// can report that graph's CSC conflicts.
+pub(crate) fn decompose_from(
+    initial: StateGraph,
+    mut mc: McImpl,
+    config: &DecomposeConfig,
+    observer: &mut dyn FlowObserver,
+) -> Result<DecomposeResult, Box<(McError, StateGraph)>> {
+    // The graph after the last committed insertion; `initial` until then.
+    let mut current: Option<StateGraph> = None;
     let mut inserted: Vec<String> = Vec::new();
     let mut steps: Vec<DecomposeStep> = Vec::new();
 
     loop {
+        let sg = current.as_ref().unwrap_or(&initial);
         let over = mc.gates_over(config.literal_limit);
-        if over.is_empty() {
-            return Ok(DecomposeResult { sg, mc, inserted, implementable: true, steps });
-        }
-        if inserted.len() >= config.max_insertions {
-            return Ok(DecomposeResult { sg, mc, inserted, implementable: false, steps });
+        if over.is_empty() || inserted.len() >= config.max_insertions {
+            let implementable = over.is_empty();
+            let sg = current.unwrap_or(initial);
+            return Ok(DecomposeResult { sg, mc, inserted, implementable, steps });
         }
 
         let excess_now = excess(&mc, config.literal_limit);
@@ -183,9 +197,9 @@ pub fn decompose_with(
                         continue;
                     }
                     seen_partitions.push(partition.clone());
-                    let Ok(ins) = compute_insertion(&sg, &partition) else { continue };
+                    let Ok(ins) = compute_insertion(sg, &partition) else { continue };
                     let score = if config.use_progress_filter {
-                        let est = estimate_progress(&sg, target_cover, &base, &ins);
+                        let est = estimate_progress(sg, target_cover, &base, &ins);
                         if !est.makes_progress() {
                             continue;
                         }
@@ -206,7 +220,7 @@ pub fn decompose_with(
             // in ranked order wins.
             let name = format!("x{}", inserted.len());
             let evaluate = |f: &Cover, ins: &Insertion| {
-                let candidate_sg = insert_signal(&sg, ins, &name, SignalKind::Internal).ok()?;
+                let candidate_sg = insert_signal(sg, ins, &name, SignalKind::Internal).ok()?;
                 if !check_all(&candidate_sg).is_ok() {
                     return None;
                 }
@@ -242,8 +256,10 @@ pub fn decompose_with(
                 let merged = if config.ack_mode == AckMode::Local {
                     candidate_mc
                 } else {
-                    let full = synthesize_mc(&candidate_sg)?;
-                    merge_cheaper(full, candidate_mc)
+                    match synthesize_mc(&candidate_sg) {
+                        Ok(full) => merge_cheaper(full, candidate_mc),
+                        Err(e) => return Err(Box::new((e, initial))),
+                    }
                 };
                 let excess_after = excess(&merged, config.literal_limit);
                 if excess_after < excess_now {
@@ -256,7 +272,7 @@ pub fn decompose_with(
                     };
                     observer.on_decompose_step(&step);
                     steps.push(step);
-                    sg = candidate_sg;
+                    current = Some(candidate_sg);
                     mc = merged;
                     inserted.push(name);
                     committed = true;
@@ -266,6 +282,7 @@ pub fn decompose_with(
         }
 
         if !committed {
+            let sg = current.unwrap_or(initial);
             return Ok(DecomposeResult { sg, mc, inserted, implementable: false, steps });
         }
     }

@@ -254,9 +254,11 @@ pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl
         return Ok(SignalImpl { signal, body });
     }
 
-    // Standard-C candidate: per-region set/reset covers plus a C element.
-    let set = region_covers(sg, signal, Event::rise(signal), &name)?;
-    let reset = region_covers(sg, signal, Event::fall(signal), &name)?;
+    // Standard-C candidate: per-region set/reset covers plus a C element,
+    // all minimized over the one sorted universe of reachable codes.
+    let universe = sg.reachable_codes();
+    let set = region_covers(sg, &universe, Event::rise(signal), &name)?;
+    let reset = region_covers(sg, &universe, Event::fall(signal), &name)?;
     let standard_c = SignalBody::StandardC { set, reset };
 
     // Pick the cheaper body: first by the most complex gate (the quantity
@@ -289,10 +291,11 @@ pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl
 }
 
 /// Synthesizes the covers for all excitation regions of `event`, merging
-/// regions whose state codes overlap.
+/// regions whose state codes overlap. `universe` is
+/// [`StateGraph::reachable_codes`].
 fn region_covers(
     sg: &StateGraph,
-    _signal: SignalId,
+    universe: &[u64],
     event: Event,
     name: &str,
 ) -> Result<Vec<RegionCover>, McError> {
@@ -308,7 +311,7 @@ fn region_covers(
     'merge: loop {
         for (gi, group) in groups.iter().enumerate() {
             let (on_codes, dc_codes) = group_on_dc(sg, &regions, group);
-            let member_states = group_states(sg, &regions, group);
+            let member_states = group_states(&regions, group);
             for &s in &all_states {
                 if member_states.contains(&s) {
                     continue;
@@ -339,8 +342,8 @@ fn region_covers(
 
     let mut covers = Vec::new();
     for group in &groups {
-        let cover = synthesize_group_cover(sg, &regions, group, nvars, name)?;
-        let complexity = cover_complexity(sg, &regions, group, &cover, nvars);
+        let cover = synthesize_group_cover(sg, universe, &regions, group, name)?;
+        let complexity = cover_complexity(universe, &cover, nvars);
         covers.push(RegionCover { event, region_indices: group.clone(), cover, complexity });
     }
     Ok(covers)
@@ -364,8 +367,7 @@ fn group_on_dc(
     (on, dc)
 }
 
-fn group_states(sg: &StateGraph, regions: &[Region], group: &[usize]) -> HashSet<StateId> {
-    let _ = sg;
+fn group_states(regions: &[Region], group: &[usize]) -> HashSet<StateId> {
     let mut states = HashSet::new();
     for &ri in group {
         states.extend(regions[ri].er.iter());
@@ -379,13 +381,14 @@ fn group_states(sg: &StateGraph, regions: &[Region], group: &[usize]) -> HashSet
 /// rise there.
 fn synthesize_group_cover(
     sg: &StateGraph,
+    universe: &[u64],
     regions: &[Region],
     group: &[usize],
-    nvars: usize,
     name: &str,
 ) -> Result<Cover, McError> {
+    let nvars = sg.signal_count();
     let (on_codes, dc_codes) = group_on_dc(sg, regions, group);
-    let member_states = group_states(sg, regions, group);
+    let member_states = group_states(regions, group);
     let mut off_codes: HashSet<u64> = HashSet::new();
     for s in sg.states() {
         if !member_states.contains(&s) {
@@ -396,7 +399,6 @@ fn synthesize_group_cover(
         }
     }
 
-    let in_er = |s: StateId| group.iter().any(|&ri| regions[ri].er.contains(s));
     let in_qr = |s: StateId| group.iter().any(|&ri| regions[ri].qr.contains(s));
 
     let mut extra_off: HashSet<u64> = HashSet::new();
@@ -417,7 +419,6 @@ fn synthesize_group_cover(
                 }
             }
         }
-        let _ = in_er;
         if violations.is_empty() {
             return Ok(cover);
         }
@@ -435,7 +436,7 @@ fn synthesize_group_cover(
     let on: Vec<u64> = on_codes.union(&dc_codes).copied().collect();
     let off: Vec<u64> = {
         let onset: HashSet<u64> = on.iter().copied().collect();
-        sg.reachable_codes().into_iter().filter(|c| !onset.contains(c)).collect()
+        universe.iter().copied().filter(|c| !onset.contains(c)).collect()
     };
     match MinimizeProblem::new(nvars, on, off) {
         Ok(p) => Ok(p.minimize()),
@@ -444,16 +445,8 @@ fn synthesize_group_cover(
 }
 
 /// Gate complexity of a synthesized cover: `min(lits(F), lits(F̄))` with
-/// the complement minimized against the same reachable universe.
-fn cover_complexity(
-    sg: &StateGraph,
-    regions: &[Region],
-    group: &[usize],
-    cover: &Cover,
-    nvars: usize,
-) -> usize {
-    let _ = (regions, group);
-    let universe = sg.reachable_codes();
+/// the complement minimized against the same reachable `universe`.
+fn cover_complexity(universe: &[u64], cover: &Cover, nvars: usize) -> usize {
     let on: Vec<u64> = universe.iter().copied().filter(|&c| cover.eval(c)).collect();
     let off: Vec<u64> = universe.iter().copied().filter(|&c| !cover.eval(c)).collect();
     match MinimizeProblem::new(nvars, on, off) {

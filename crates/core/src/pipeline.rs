@@ -36,7 +36,7 @@
 
 use crate::config::Config;
 use crate::csc::{csc_conflicts, repair_csc};
-use crate::decompose::{decompose_with, DecomposeResult, DecomposeStep};
+use crate::decompose::{decompose_from, DecomposeResult, DecomposeStep};
 use crate::engine::Engine;
 use crate::error::{Error, Stage};
 use crate::flow::{build_circuit_with_or_limit, non_si_cost, si_cost, FlowReport};
@@ -406,13 +406,18 @@ impl Covers {
     /// [`Elaborated::covers`]).
     pub fn decompose(mut self) -> Result<Decomposed, Error> {
         self.ctx.start(Stage::Decompose, self.sg.name());
-        let outcome =
-            decompose_with(&self.sg, &self.ctx.config.flow.decompose, self.ctx.observer.as_mut())
-                .map_err(|crate::mc::McError::CscConflict { signal, code }| Error::CscViolation {
-                signal,
-                code,
-                conflicts: csc_conflicts(&self.sg),
-            })?;
+        // The loop starts from the covers this stage already holds, on the
+        // graph itself when no other handle shares it.
+        let outcome = decompose_from(
+            Arc::unwrap_or_clone(self.sg),
+            self.mc,
+            &self.ctx.config.flow.decompose,
+            self.ctx.observer.as_mut(),
+        )
+        .map_err(|failed| {
+            let (crate::mc::McError::CscConflict { signal, code }, sg) = *failed;
+            Error::CscViolation { signal, code, conflicts: csc_conflicts(&sg) }
+        })?;
         self.ctx.end(Stage::Decompose);
         Ok(Decomposed {
             ctx: self.ctx,

@@ -21,6 +21,7 @@ use simap::netlist::to_verilog;
 use simap::sg::DotOptions;
 use simap::{Config, Engine, StderrObserver, Synthesis};
 use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
 
 /// The usage block `-h`/`--help` prints.
@@ -99,6 +100,34 @@ impl std::fmt::Display for HelpRequested {
 
 impl Error for HelpRequested {}
 
+/// Writes to stdout. Every stdout write goes through here (via [`out!`]
+/// and [`outln!`]), so a reader that closes the pipe early, as in
+/// `simap bench list | head -1`, comes back as an `io::Error` that
+/// [`main`] turns into a clean exit where `print!` would panic.
+fn write_out(args: std::fmt::Arguments) -> std::io::Result<()> {
+    std::io::stdout().lock().write_fmt(args)
+}
+
+/// `print!` through [`write_out`]; evaluates to its `io::Result`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`]; evaluates to its `io::Result`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Whether `e` is stdout's reader having gone away, which ends the
+/// output early but is not a failure.
+fn is_broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>().is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
+}
+
 fn is_help(arg: &str) -> bool {
     arg == "-h" || arg == "--help"
 }
@@ -107,9 +136,11 @@ fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
         Err(e) if e.is::<HelpRequested>() => {
-            print!("{USAGE}");
+            // Nothing is left to report if stdout is already closed.
+            let _ = out!("{USAGE}");
             ExitCode::SUCCESS
         }
+        Err(e) if is_broken_pipe(e.as_ref()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -311,33 +342,38 @@ fn check(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let elaborated = synthesis(&parsed)?.config(&config).elaborate()?;
     let sg = elaborated.state_graph();
     let report = elaborated.properties();
-    println!("{}: {} signals, {} states", sg.name(), sg.signal_count(), sg.state_count());
+    outln!("{}: {} signals, {} states", sg.name(), sg.signal_count(), sg.state_count())?;
     if let Some(stats) = elaborated.reach_stats() {
-        println!(
+        outln!(
             "  elaboration: {} markings visited, {} interned, {} edges ({})",
-            stats.visited, stats.interned, stats.edges, stats.strategy
-        );
+            stats.visited,
+            stats.interned,
+            stats.edges,
+            stats.strategy
+        )?;
         if let Some(spill) = stats.spill {
-            println!(
+            outln!(
                 "  spill: {} bytes spilled, {} files, resident peak {} of {} budget, {} shards",
                 spill.spilled_bytes,
                 spill.files_created,
                 spill.resident_peak,
                 spill.budget,
                 spill.shards
-            );
+            )?;
             if spill.checkpoints_written > 0 || spill.resume_level > 0 {
-                println!(
+                outln!(
                     "  checkpoint: {} snapshots written, {} bytes, resumed from level {}",
-                    spill.checkpoints_written, spill.checkpoint_bytes, spill.resume_level
-                );
+                    spill.checkpoints_written,
+                    spill.checkpoint_bytes,
+                    spill.resume_level
+                )?;
             }
         }
     }
-    println!("  speed-independent: {}", report.is_speed_independent());
-    println!("  complete state coding: {}", report.has_csc());
+    outln!("  speed-independent: {}", report.is_speed_independent())?;
+    outln!("  complete state coding: {}", report.has_csc())?;
     for v in report.violations.iter().take(10) {
-        println!("  violation: {v}");
+        outln!("  violation: {v}")?;
     }
     Ok(if report.is_ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
@@ -388,24 +424,25 @@ fn map(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let report = verified.report();
     let json = parsed.has("--json");
     if json {
-        println!("{}", report_json(report));
+        outln!("{}", report_json(report))?;
     } else {
-        print!("{}", dossier(report));
+        out!("{}", dossier(report))?;
     }
     // In JSON mode stdout carries exactly one JSON document; export
     // confirmations move to stderr so `--json --verilog f` stays parseable.
     let confirm = |path: &str| {
         if json {
             eprintln!("wrote {path}");
+            Ok(())
         } else {
-            println!("wrote {path}");
+            outln!("wrote {path}")
         }
     };
 
     if let Some(path) = parsed.value("--verilog") {
         let module = report.name.clone();
         std::fs::write(path, to_verilog(verified.circuit(), &report.outcome.sg, &module))?;
-        confirm(path);
+        confirm(path)?;
     }
     if let Some(path) = parsed.value("--dot") {
         std::fs::write(
@@ -415,7 +452,7 @@ fn map(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
                 &DotOptions { show_codes: true, ..Default::default() },
             ),
         )?;
-        confirm(path);
+        confirm(path)?;
     }
     Ok(if report.inserted.is_some() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
@@ -428,13 +465,13 @@ fn bench(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             if parsed.has("--json") {
                 // The same machine-readable listing `simap serve` answers
                 // on GET /benchmarks (byte-identical by construction).
-                println!("{}", benchmarks_json(&engine)?);
+                outln!("{}", benchmarks_json(&engine)?)?;
                 return Ok(ExitCode::SUCCESS);
             }
             for name in engine.registry().names() {
                 let sg = engine.benchmark(*name).elaborate()?;
                 let sg = sg.state_graph();
-                println!("{name:15} {:2} signals {:5} states", sg.signal_count(), sg.state_count());
+                outln!("{name:15} {:2} signals {:5} states", sg.signal_count(), sg.state_count())?;
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -477,7 +514,7 @@ fn gen(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             None => stdout.push_str(&text),
         }
     }
-    print!("{stdout}");
+    out!("{stdout}")?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -523,11 +560,11 @@ fn bench_run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     let rows = batch.limits(limits.clone()).jobs(jobs).run()?;
 
     if parsed.has("--json") {
-        println!("{}", to_json(&limits, &rows));
+        outln!("{}", to_json(&limits, &rows))?;
     } else if parsed.has("--csv") {
-        print!("{}", to_csv(&limits, &rows));
+        out!("{}", to_csv(&limits, &rows))?;
     } else {
-        print!("{}", to_markdown(&limits, &rows));
+        out!("{}", to_markdown(&limits, &rows))?;
     }
     Ok(ExitCode::SUCCESS)
 }

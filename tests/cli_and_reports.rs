@@ -245,3 +245,28 @@ fn cli_bench_run_parallel_output_is_identical_to_sequential() {
     assert!(!sequential.stdout.is_empty());
     assert_eq!(sequential.stdout, parallel.stdout, "parallel output must be byte-identical");
 }
+
+#[test]
+fn cli_exits_cleanly_when_stdout_closes_early() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    // `bench list | head -1`, and a `gen` stream larger than any pipe
+    // buffer, so its writes must meet the closed pipe.
+    for args in [&["bench", "list"][..], &["gen", "--count", "4000"][..]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_simap"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        let stdout = child.stdout.take().expect("piped stdout");
+        std::io::BufReader::new(stdout).read_line(&mut first).expect("first line");
+        assert!(!first.is_empty(), "{args:?}");
+        // The reader is dropped here, closing the pipe.
+        let out = child.wait_with_output().expect("child exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
