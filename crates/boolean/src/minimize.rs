@@ -297,48 +297,43 @@ impl<'a> Expander<'a> {
         Expander { problem, words, rows, scratch: vec![0; (nvars + 2) * words] }
     }
 
-    /// The OFF minterms that satisfy literal row `row`.
-    fn row(&self, row: usize) -> &[u64] {
-        &self.rows[row * self.words..(row + 1) * self.words]
-    }
-
     /// Expands `cube` against the OFF-set in one pass over the problem's
     /// variable order; the same cube the scalar fixpoint loop returns.
     fn expand(&mut self, mut cube: Cube) -> Cube {
-        let words = self.words;
+        let Expander { problem, words, rows, scratch } = self;
+        let words = *words;
+        let row = |r: usize| &rows[r * words..(r + 1) * words];
         // The cube's literals in expansion order, as (variable, row).
         let mut literals = [(0usize, 0usize); MAX_VARS];
         let mut n = 0;
-        for &v in &self.problem.var_order {
+        for &v in &problem.var_order {
             if let Some(phase) = cube.phase_of(v) {
                 literals[n] = (v, 2 * v + usize::from(phase));
                 n += 1;
             }
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
         let (suffix, kept) = scratch.split_at_mut((n + 1) * words);
         let kept = &mut kept[..words];
-        let full = self.row(2 * self.problem.nvars);
+        let full = row(2 * problem.nvars);
         suffix[n * words..].copy_from_slice(full);
         kept.copy_from_slice(full);
         for i in (0..n).rev() {
             let (head, tail) = suffix.split_at_mut((i + 1) * words);
-            let lit = self.row(literals[i].1);
+            let lit = row(literals[i].1);
             for ((out, &next), &l) in head[i * words..].iter_mut().zip(&tail[..words]).zip(lit) {
                 *out = next & l;
             }
         }
-        for (i, &(v, row)) in literals[..n].iter().enumerate() {
+        for (i, &(v, r)) in literals[..n].iter().enumerate() {
             let rest = &suffix[(i + 1) * words..(i + 2) * words];
             if kept.iter().zip(rest).all(|(&k, &r)| k & r == 0) {
                 cube = cube.without_var(v);
             } else {
-                for (k, &l) in kept.iter_mut().zip(self.row(row)) {
+                for (k, &l) in kept.iter_mut().zip(row(r)) {
                     *k &= l;
                 }
             }
         }
-        self.scratch = scratch;
         cube
     }
 }
