@@ -395,6 +395,14 @@ mod tests {
     }
 
     #[test]
+    fn reports_the_first_conflict_in_caller_order() {
+        let err = MinimizeProblem::new(3, vec![5, 2, 7, 3], vec![3, 7, 0, 2]).unwrap_err();
+        assert_eq!(err.code, 2);
+        let err = MinimizeProblem::new(3, vec![7, 5, 2], vec![2, 0, 7]).unwrap_err();
+        assert_eq!(err.code, 7);
+    }
+
+    #[test]
     fn constant_cases() {
         let p = MinimizeProblem::new(2, vec![], vec![0]).unwrap();
         assert!(p.minimize().is_zero());

@@ -16,7 +16,7 @@
 //! which guarantees termination.
 
 use crate::insertion::{compute_insertion, insert_signal, Insertion};
-use crate::mc::{synthesize_mc, synthesize_signal, McError, McImpl, SignalBody, SignalImpl};
+use crate::mc::{synthesize_mc, synthesize_signal, McError, McImpl, SignalBody};
 use crate::observer::{FlowObserver, NullObserver};
 use crate::progress::estimate_progress;
 use simap_boolean::{generate_divisors, Cover, DivisorConfig};
@@ -336,25 +336,15 @@ fn resynthesize_affected(
 }
 
 /// Merges two implementations of the same graph, keeping per signal the
-/// cheaper body (fewest max-gate literals, then total literals).
+/// cheaper body by `SignalImpl::cost`.
 fn merge_cheaper(a: McImpl, b: McImpl) -> McImpl {
-    let cost = |s: &SignalImpl| -> (usize, usize) {
-        match &s.body {
-            SignalBody::Combinational { complexity, .. } => (*complexity, *complexity),
-            SignalBody::StandardC { set, reset } => {
-                let max = set.iter().chain(reset.iter()).map(|c| c.complexity).max().unwrap_or(0);
-                let total: usize = set.iter().chain(reset.iter()).map(|c| c.complexity).sum();
-                (max, total + 3)
-            }
-        }
-    };
     let signals = a
         .signals
         .into_iter()
         .zip(b.signals)
         .map(|(sa, sb)| {
             debug_assert_eq!(sa.signal, sb.signal);
-            if cost(&sa) <= cost(&sb) {
+            if sa.cost() <= sb.cost() {
                 sa
             } else {
                 sb
@@ -520,6 +510,39 @@ mod tests {
         let result = decompose(&sg, &config).unwrap();
         assert!(!result.implementable);
         assert!(result.inserted.is_empty());
+    }
+
+    /// The commit path keeps, per signal, the cheaper of the fresh cover
+    /// and the one candidate evaluation built: on every embedded circuit
+    /// of at most 400 states the result must validate on its own graph
+    /// and no signal may cost more than a full resynthesis of that graph.
+    #[test]
+    fn committed_covers_validate_and_beat_full_resynthesis() {
+        for &name in simap_stg::benchmark_names() {
+            let stg = simap_stg::benchmark(name).expect("known benchmark");
+            let sg = simap_stg::elaborate(&stg).expect("benchmark elaborates");
+            if sg.state_count() > 400 {
+                continue;
+            }
+            for limit in [2, 3] {
+                let result = decompose(&sg, &DecomposeConfig::with_limit(limit))
+                    .unwrap_or_else(|e| panic!("{name} at {limit}: {e}"));
+                let complaints = crate::mc::validate_mc(&result.sg, &result.mc);
+                assert!(complaints.is_empty(), "{name} at {limit}: {complaints:?}");
+                let full = synthesize_mc(&result.sg).expect("the result keeps CSC");
+                assert_eq!(full.signals.len(), result.mc.signals.len(), "{name} at {limit}");
+                for (kept, fresh) in result.mc.signals.iter().zip(&full.signals) {
+                    assert_eq!(kept.signal, fresh.signal, "{name} at {limit}");
+                    assert!(
+                        kept.cost() <= fresh.cost(),
+                        "{name} at {limit}: {} costs {:?} > {:?}",
+                        result.sg.signals()[kept.signal.0].name,
+                        kept.cost(),
+                        fresh.cost()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

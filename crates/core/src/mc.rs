@@ -84,6 +84,14 @@ impl SignalImpl {
         }
     }
 
+    /// The cost the synthesizer and the decomposition loop compare bodies
+    /// by: first the most complex gate (the quantity the mapper must fit
+    /// into the library), then the total area (a C element ≈ 3 literals,
+    /// §4; a combinational body's C element degenerates to a wire).
+    pub(crate) fn cost(&self) -> (usize, usize) {
+        body_cost(&self.body)
+    }
+
     /// Total literals across this signal's first-level covers.
     pub fn literal_count(&self) -> usize {
         match &self.body {
@@ -261,33 +269,24 @@ pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl
     let reset = region_covers(sg, &universe, Event::fall(signal), &name)?;
     let standard_c = SignalBody::StandardC { set, reset };
 
-    // Pick the cheaper body: first by the most complex gate (the quantity
-    // the mapper must fit into the library), then by total area (a C
-    // element ≈ 3 literals, §4). Ties prefer the combinational form, whose
-    // C element degenerates to a wire.
+    // Pick the cheaper body by `body_cost`. Ties prefer the combinational
+    // form, whose C element degenerates to a wire.
     let body = match combinational {
-        None => standard_c,
-        Some(comb) => {
-            let key = |b: &SignalBody| -> (usize, usize) {
-                match b {
-                    SignalBody::Combinational { complexity, .. } => (*complexity, *complexity),
-                    SignalBody::StandardC { set, reset } => {
-                        let max =
-                            set.iter().chain(reset.iter()).map(|c| c.complexity).max().unwrap_or(0);
-                        let area: usize =
-                            set.iter().chain(reset.iter()).map(|c| c.complexity).sum::<usize>() + 3;
-                        (max, area)
-                    }
-                }
-            };
-            if key(&comb) <= key(&standard_c) {
-                comb
-            } else {
-                standard_c
-            }
-        }
+        Some(comb) if body_cost(&comb) <= body_cost(&standard_c) => comb,
+        _ => standard_c,
     };
     Ok(SignalImpl { signal, body })
+}
+
+/// See [`SignalImpl::cost`].
+fn body_cost(body: &SignalBody) -> (usize, usize) {
+    match body {
+        SignalBody::Combinational { complexity, .. } => (*complexity, *complexity),
+        SignalBody::StandardC { set, reset } => {
+            let gates = || set.iter().chain(reset).map(|c| c.complexity);
+            (gates().max().unwrap_or(0), gates().sum::<usize>() + 3)
+        }
+    }
 }
 
 /// Synthesizes the covers for all excitation regions of `event`, merging

@@ -200,6 +200,87 @@ fn golden_signal_covers_snapshot() {
     );
 }
 
+/// Where the committed per-region cover snapshot lives.
+const REGION_GOLDEN_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/region_covers.tsv");
+
+/// Golden per-region snapshot: for every implementable signal of every
+/// circuit its body kind and, per first-level cover, the event, the region
+/// indices, the rendered cover (cube order included) and the gate
+/// complexity; a combinational body contributes its one next-state cover.
+/// Debug builds check the circuits of at most 400 states; release builds
+/// check all 32. Regenerate (in release, so every circuit is written)
+/// after an intentional change with:
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test --release --test benchmark_suite golden_region_covers
+/// ```
+#[test]
+fn golden_region_covers_snapshot() {
+    use simap::core::SignalBody;
+    let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
+    assert!(!(update && cfg!(debug_assertions)), "regenerate in release: debug runs skip circuits");
+    let mut table = String::from("# circuit\tsignal\tbody\tevent\tregions\tcover\tcomplexity\n");
+    let mut checked: Vec<&str> = Vec::new();
+    for &name in benchmark_names() {
+        let stg = simap::stg::benchmark(name).expect("known benchmark");
+        let sg = elaborate(&stg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if cfg!(debug_assertions) && sg.state_count() > 400 {
+            continue;
+        }
+        let mc = synthesize_mc(&sg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let var = |v: usize| sg.signals()[v].name.clone();
+        for signal in &mc.signals {
+            let prefix = format!("{name}\t{}", var(signal.signal.0));
+            match &signal.body {
+                SignalBody::Combinational { cover, complexity } => {
+                    let cover = cover.display_with(var);
+                    table.push_str(&format!(
+                        "{prefix}\tcombinational\t-\t-\t{cover}\t{complexity}\n"
+                    ));
+                }
+                SignalBody::StandardC { set, reset } => {
+                    for rc in set.iter().chain(reset) {
+                        let regions: Vec<String> =
+                            rc.region_indices.iter().map(usize::to_string).collect();
+                        table.push_str(&format!(
+                            "{prefix}\tstandard-c\t{}\t{}\t{}\t{}\n",
+                            sg.event_name(rc.event),
+                            regions.join(","),
+                            rc.cover.display_with(var),
+                            rc.complexity
+                        ));
+                    }
+                }
+            }
+        }
+        checked.push(name);
+    }
+    if update {
+        std::fs::write(REGION_GOLDEN_PATH, &table).expect("write golden snapshot");
+        eprintln!("regenerated {REGION_GOLDEN_PATH}");
+        return;
+    }
+    let golden = std::fs::read_to_string(REGION_GOLDEN_PATH).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {REGION_GOLDEN_PATH}: {e}\n\
+             regenerate it with: UPDATE_GOLDEN=1 cargo test --release --test benchmark_suite \
+             golden_region_covers"
+        )
+    });
+    let expected: String = golden
+        .lines()
+        .filter(|line| line.starts_with('#') || checked.contains(&line.split('\t').next().unwrap()))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(
+        table, expected,
+        "region covers drifted from the committed snapshot; if the change is intentional, \
+         regenerate it with:\n    UPDATE_GOLDEN=1 cargo test --release --test benchmark_suite \
+         golden_region_covers"
+    );
+}
+
 #[test]
 fn every_g_text_constant_parses() {
     use simap::stg::benchmarks::{
