@@ -33,7 +33,6 @@
 
 use crate::cover::Cover;
 use crate::cube::{Cube, MAX_VARS};
-use std::collections::HashSet;
 
 /// A two-level minimization problem: explicit ON and OFF minterm lists over
 /// `nvars` variables; every other code is a don't-care.
@@ -66,20 +65,36 @@ impl MinimizeProblem {
     /// Creates a problem; validates that ON and OFF are disjoint.
     ///
     /// # Errors
-    /// Returns [`ConflictingMintermError`] if a code appears in both sets
-    /// (in state-graph terms: a CSC conflict).
-    pub fn new(nvars: usize, on: Vec<u64>, off: Vec<u64>) -> Result<Self, ConflictingMintermError> {
-        assert!(nvars <= MAX_VARS);
-        let off_set: HashSet<u64> = off.iter().copied().collect();
-        if let Some(&code) = on.iter().find(|c| off_set.contains(c)) {
-            return Err(ConflictingMintermError { code });
-        }
-        let mut on = on;
-        let mut off = off;
-        on.sort_unstable();
-        on.dedup();
+    /// Returns [`ConflictingMintermError`] with the first code of `on`, in
+    /// the caller's order, that also appears in `off` (in state-graph
+    /// terms: a CSC conflict).
+    pub fn new(
+        nvars: usize,
+        mut on: Vec<u64>,
+        mut off: Vec<u64>,
+    ) -> Result<Self, ConflictingMintermError> {
         off.sort_unstable();
         off.dedup();
+        if let Some(&code) = on.iter().find(|c| off.binary_search(c).is_ok()) {
+            return Err(ConflictingMintermError { code });
+        }
+        on.sort_unstable();
+        on.dedup();
+        Ok(MinimizeProblem::from_sorted(nvars, on, off))
+    }
+
+    /// Creates a problem from lists that are already strictly increasing
+    /// and disjoint, as when they partition a sorted universe. Debug
+    /// builds check both properties; release builds trust the caller, and
+    /// a violation there yields an unspecified (but memory-safe) cover.
+    pub fn from_sorted(nvars: usize, on: Vec<u64>, off: Vec<u64>) -> Self {
+        assert!(nvars <= MAX_VARS);
+        debug_assert!(on.windows(2).all(|w| w[0] < w[1]), "ON must be strictly increasing");
+        debug_assert!(off.windows(2).all(|w| w[0] < w[1]), "OFF must be strictly increasing");
+        debug_assert!(
+            on.iter().all(|c| off.binary_search(c).is_err()),
+            "ON and OFF must be disjoint"
+        );
         // Expansion order: for each variable, count how "split" the
         // OFF-set is on it — variables on which the OFF-set is one-sided
         // are cheap to drop and go first.
@@ -92,7 +107,7 @@ impl MinimizeProblem {
         let total = off.len();
         let mut var_order: Vec<usize> = (0..nvars).collect();
         var_order.sort_by_key(|&v| ones[v].min(total - ones[v]));
-        Ok(MinimizeProblem { nvars, on, off, var_order })
+        MinimizeProblem { nvars, on, off, var_order }
     }
 
     /// The ON-set codes.
@@ -140,11 +155,14 @@ impl MinimizeProblem {
 
     /// Expands each ON minterm into a prime-like cube against the OFF list.
     fn expand_all(&self, expander: &mut Expander) -> Vec<Cube> {
-        let mut seen = HashSet::new();
+        // The distinct cubes in first-expansion order, and the same cubes
+        // sorted for the membership test.
         let mut cubes = Vec::new();
+        let mut seen: Vec<Cube> = Vec::new();
         for &m in &self.on {
             let cube = expander.expand(Cube::minterm(m, self.nvars));
-            if seen.insert(cube) {
+            if let Err(at) = seen.binary_search(&cube) {
+                seen.insert(at, cube);
                 cubes.push(cube);
             }
         }
@@ -179,7 +197,7 @@ impl MinimizeProblem {
     /// essential candidates first (sole cover of some minterm), then
     /// greedy set-cover on the rest.
     fn irredundant(&self, candidates: &[Cube], expander: &mut Expander) -> Cover {
-        let mut uncovered: HashSet<u64> = self.on.iter().copied().collect();
+        let mut uncovered = Uncovered::all(self.on.len());
         let mut chosen: Vec<Cube> = Vec::new();
 
         // Essential pass: a candidate covering a minterm nobody else
@@ -193,13 +211,13 @@ impl MinimizeProblem {
             }
         }
         for c in &chosen {
-            uncovered.retain(|&m| !c.eval(m));
+            uncovered.remove_covered(&self.on, c);
         }
 
-        while !uncovered.is_empty() {
+        while let Some(first) = uncovered.first() {
             let mut best: Option<(usize, usize, Cube)> = None;
             for &c in candidates {
-                let gain = uncovered.iter().filter(|&&m| c.eval(m)).count();
+                let gain = uncovered.iter().filter(|&i| c.eval(self.on[i])).count();
                 if gain == 0 {
                     continue;
                 }
@@ -210,15 +228,12 @@ impl MinimizeProblem {
                 }
             }
             // When no candidate covers a remaining minterm (possible after
-            // an aggressive reduce pass), expand that minterm directly.
+            // an aggressive reduce pass), expand the first one directly.
             let cube = match best {
                 Some((_, _, c)) => c,
-                None => {
-                    let &m = uncovered.iter().next().expect("loop guard");
-                    expander.expand(Cube::minterm(m, self.nvars))
-                }
+                None => expander.expand(Cube::minterm(self.on[first], self.nvars)),
             };
-            uncovered.retain(|&m| !cube.eval(m));
+            uncovered.remove_covered(&self.on, &cube);
             chosen.push(cube);
         }
         Cover::from_cubes(chosen)
@@ -230,25 +245,22 @@ impl MinimizeProblem {
         let cubes = cover.cubes();
         let mut reduced = Vec::with_capacity(cubes.len());
         for (i, c) in cubes.iter().enumerate() {
-            let exclusive: Vec<u64> = self
-                .on
-                .iter()
-                .copied()
-                .filter(|&m| {
-                    c.eval(m) && !cubes.iter().enumerate().any(|(j, d)| j != i && d.eval(m))
-                })
-                .collect();
-            if exclusive.is_empty() {
+            // Smallest cube containing the ON minterms only `c` covers:
+            // their supercube.
+            let mut exclusive = false;
+            let mut pos = u64::MAX;
+            let mut neg = u64::MAX;
+            for &m in &self.on {
+                if c.eval(m) && !cubes.iter().enumerate().any(|(j, d)| j != i && d.eval(m)) {
+                    exclusive = true;
+                    pos &= m;
+                    neg &= !m;
+                }
+            }
+            if !exclusive {
                 // Redundant cube; keep as-is (irredundant pass will drop it).
                 reduced.push(*c);
                 continue;
-            }
-            // Smallest cube containing the exclusive minterms: the supercube.
-            let mut pos = u64::MAX;
-            let mut neg = u64::MAX;
-            for &m in &exclusive {
-                pos &= m;
-                neg &= !m;
             }
             let mask = if self.nvars == MAX_VARS { u64::MAX } else { (1u64 << self.nvars) - 1 };
             let cube = Cube::from_masks(pos & mask, neg & mask).expect("supercube is consistent");
@@ -259,9 +271,56 @@ impl MinimizeProblem {
 
     /// Minimized complement: 1 on OFF codes, 0 on ON codes.
     pub fn minimize_complement(&self) -> Cover {
-        MinimizeProblem::new(self.nvars, self.off.clone(), self.on.clone())
-            .expect("swapped sets stay disjoint")
-            .minimize()
+        MinimizeProblem::from_sorted(self.nvars, self.off.clone(), self.on.clone()).minimize()
+    }
+}
+
+/// The ON minterms `irredundant` has yet to cover, as a bitmap over their
+/// indices in the sorted ON list.
+struct Uncovered {
+    words: Vec<u64>,
+}
+
+impl Uncovered {
+    fn all(n: usize) -> Self {
+        let mut words = vec![u64::MAX; n / 64];
+        let tail = n % 64;
+        if tail > 0 {
+            words.push((1u64 << tail) - 1);
+        }
+        Uncovered { words }
+    }
+
+    /// Indices of the uncovered minterms, in increasing order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    64 * k + bit
+                })
+            })
+        })
+    }
+
+    fn first(&self) -> Option<usize> {
+        self.iter().next()
+    }
+
+    /// Marks every uncovered minterm of `on` that `cube` contains covered.
+    fn remove_covered(&mut self, on: &[u64], cube: &Cube) {
+        for (k, word) in self.words.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if cube.eval(on[64 * k + bit]) {
+                    *word &= !(1u64 << bit);
+                }
+            }
+        }
     }
 }
 
@@ -387,6 +446,7 @@ pub fn on_codes(cover: &Cover, universe: &[u64]) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::cube::Literal;
+    use std::collections::HashSet;
 
     #[test]
     fn rejects_conflicts() {
@@ -400,6 +460,25 @@ mod tests {
         assert_eq!(err.code, 2);
         let err = MinimizeProblem::new(3, vec![7, 5, 2], vec![2, 0, 7]).unwrap_err();
         assert_eq!(err.code, 7);
+    }
+
+    #[test]
+    fn irredundant_fallback_expands_the_first_uncovered_minterm() {
+        // No candidate covers any ON minterm, so every cube comes from the
+        // fallback. Expanding 1000 first leaves 1001 and 1101 for more
+        // cubes; expanding 1101 first would cover all four at once. The
+        // fallback must take the first uncovered minterm in sorted ON
+        // order, the same way on every call.
+        let on = vec![0b1101, 0b1000, 0b1100, 0b1001];
+        let off = vec![0b0001, 0b0010, 0b0101, 0b0110, 0b1111];
+        let p = MinimizeProblem::new(4, on.clone(), off.clone()).unwrap();
+        let run = || p.irredundant(&[], &mut Expander::new(&p));
+        let (first, second) = (run(), run());
+        assert_eq!(first, second, "irredundant must not depend on hash order");
+        assert!(first.covers_all(&on) && first.avoids_all(&off), "{first:?}");
+        let lowest = Expander::new(&p).expand(Cube::minterm(0b1000, 4));
+        assert!(first.cubes().contains(&lowest), "{first:?} lacks {lowest:?}");
+        assert!(first.cube_count() > 1, "{first:?}");
     }
 
     #[test]
@@ -720,6 +799,31 @@ mod tests {
             for_each_synthesis_problem(&sg, &mut |p| {
                 problems += 1;
                 assert_expander_matches_oracle(p, &[]);
+            });
+        }
+        assert!(problems > 0);
+    }
+
+    /// `from_sorted` must build exactly the problem `new` builds from the
+    /// same lists in any order: the trusted path skips only the checks.
+    #[test]
+    fn from_sorted_matches_new_on_state_graph_splits() {
+        let mut problems = 0usize;
+        let mut assert_same = |p: &MinimizeProblem| {
+            let q = MinimizeProblem::from_sorted(p.nvars, p.on.clone(), p.off.clone());
+            assert_eq!((&q.on, &q.off, &q.var_order), (&p.on, &p.off, &p.var_order));
+            assert_eq!(q.minimize(), p.minimize());
+            problems += 1;
+        };
+        for &name in simap_stg::benchmark_names() {
+            let stg = simap_stg::benchmark(name).expect("known benchmark");
+            let sg = simap_stg::elaborate(&stg).expect("benchmark elaborates");
+            if cfg!(debug_assertions) && sg.state_count() > 400 {
+                continue;
+            }
+            for_each_synthesis_problem(&sg, &mut |p| {
+                assert_same(p);
+                assert_same(&swapped(p));
             });
         }
         assert!(problems > 0);

@@ -7,8 +7,13 @@
 //!     D  = divisors of c(a*);                      (§3.1)
 //!     for each f ∈ D: I-partition, progress check; (§3.2, §3.3)
 //!     insert the best divisor's signal;            (Fig. 3)
-//!     recompute every cover from scratch;          (resynthesis)
+//!     resynthesize every cover;                    (resynthesis)
 //! ```
+//!
+//! Evaluating a candidate resynthesizes only the signals its insertion can
+//! affect. Committing it resynthesizes the others and reuses the affected
+//! signals' covers, which evaluation already built for the same graph,
+//! instead of recomputing every cover from scratch.
 //!
 //! Every accepted insertion is committed only after the rebuilt state
 //! graph `A′` passes all property checks and the resynthesized covers
@@ -16,12 +21,11 @@
 //! which guarantees termination.
 
 use crate::insertion::{compute_insertion, insert_signal, Insertion};
-use crate::mc::{synthesize_mc, synthesize_signal, McError, McImpl, SignalBody};
+use crate::mc::{synthesize_mc, synthesize_signal_in, McError, McImpl, SignalBody};
 use crate::observer::{FlowObserver, NullObserver};
 use crate::progress::estimate_progress;
 use simap_boolean::{generate_divisors, Cover, DivisorConfig};
 use simap_sg::{check_all, SignalId, SignalKind, StateGraph};
-use std::collections::HashSet;
 
 /// How transitions of inserted signals may be acknowledged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,7 +228,7 @@ pub(crate) fn decompose_from(
                 if !check_all(&candidate_sg).is_ok() {
                     return None;
                 }
-                let candidate_mc =
+                let (candidate_mc, affected) =
                     resynthesize_affected(&candidate_sg, &mc, *target_signal).ok()?;
                 if config.ack_mode == AckMode::Local {
                     let x = SignalId(candidate_sg.signal_count() - 1);
@@ -237,9 +241,9 @@ pub(crate) fn decompose_from(
                     return None;
                 }
                 let area = crate::flow::si_cost(&candidate_mc, config.literal_limit.max(2)).area();
-                Some((excess_after, area, candidate_sg, candidate_mc, f.clone()))
+                Some((excess_after, area, candidate_sg, candidate_mc, affected, f.clone()))
             };
-            let mut best: Option<(usize, usize, StateGraph, McImpl, Cover)> = None;
+            let mut best: Option<(usize, usize, StateGraph, McImpl, Vec<bool>, Cover)> = None;
             let tried = ranked.iter().take(config.max_candidates_tried);
             for candidate in tried.filter_map(|(_, f, ins)| evaluate(f, ins)) {
                 let (excess_after, area, ..) = &candidate;
@@ -247,17 +251,20 @@ pub(crate) fn decompose_from(
                     best = Some(candidate);
                 }
             }
-            if let Some((_, _, candidate_sg, candidate_mc, f)) = best {
+            if let Some((_, _, candidate_sg, candidate_mc, affected, f)) = best {
                 // Full resynthesis on commit ("the implementation of every
                 // signal is recomputed at every step", §3) — keeping, per
-                // signal, whichever implementation is cheaper. In local
-                // mode the partial implementation is kept as-is: the full
+                // signal, whichever implementation is cheaper. The affected
+                // signals' covers were synthesized on this very graph while
+                // the candidate was evaluated, so they are reused; only the
+                // signals kept verbatim are resynthesized. In local mode the
+                // partial implementation is kept as-is: the full
                 // resynthesis could re-introduce sharing across signals.
                 let merged = if config.ack_mode == AckMode::Local {
                     candidate_mc
                 } else {
-                    match synthesize_mc(&candidate_sg) {
-                        Ok(full) => merge_cheaper(full, candidate_mc),
+                    match resynthesize_unaffected(&candidate_sg, candidate_mc, &affected) {
+                        Ok(merged) => merged,
                         Err(e) => return Err(Box::new((e, initial))),
                     }
                 };
@@ -294,16 +301,17 @@ pub(crate) fn decompose_from(
 /// and every signal owning an event delayed by the grown excitation
 /// regions (those events gain `x` as trigger and their covers change
 /// category). All other covers mention neither `x` nor any state whose
-/// region classification moved, so they stay valid verbatim.
+/// region classification moved, so they stay valid verbatim. Returns the
+/// implementation and the affected set, indexed by signal id.
 fn resynthesize_affected(
     candidate_sg: &StateGraph,
     mc: &McImpl,
     target: SignalId,
-) -> Result<McImpl, McError> {
+) -> Result<(McImpl, Vec<bool>), McError> {
     let x = SignalId(candidate_sg.signal_count() - 1);
-    let mut affected: HashSet<SignalId> = HashSet::new();
-    affected.insert(target);
-    affected.insert(x);
+    let mut affected = vec![false; candidate_sg.signal_count()];
+    affected[target.0] = true;
+    affected[x.0] = true;
     // Exact delayed-exit set: an event is delayed at a split state when it
     // is enabled after x fires but not before. Those events gain x as a
     // trigger — their owners must be resynthesized.
@@ -312,19 +320,20 @@ fn resynthesize_affected(
             if let Some(after) = candidate_sg.fire(s, ev) {
                 for &(e, _) in candidate_sg.succ(after) {
                     if e.signal != x && !candidate_sg.enabled(s, e) {
-                        affected.insert(e.signal);
+                        affected[e.signal.0] = true;
                     }
                 }
             }
         }
     }
 
+    let universe = candidate_sg.reachable_codes();
     let signals = candidate_sg
         .implementable_signals()
         .into_iter()
         .map(|signal| {
-            if affected.contains(&signal) {
-                synthesize_signal(candidate_sg, signal)
+            if affected[signal.0] {
+                synthesize_signal_in(candidate_sg, &universe, signal)
             } else {
                 let previous =
                     mc.signal_impl(signal).expect("unaffected signal existed before the insertion");
@@ -332,26 +341,33 @@ fn resynthesize_affected(
             }
         })
         .collect::<Result<_, _>>()?;
-    Ok(McImpl { signals })
+    Ok((McImpl { signals }, affected))
 }
 
-/// Merges two implementations of the same graph, keeping per signal the
-/// cheaper body by `SignalImpl::cost`.
-fn merge_cheaper(a: McImpl, b: McImpl) -> McImpl {
-    let signals = a
+/// Completes the full resynthesis of a committed candidate: resynthesizes
+/// every signal `resynthesize_affected` kept verbatim and keeps, per
+/// signal, the cheaper of the fresh and the kept body by
+/// `SignalImpl::cost` (ties go to the fresh one). The affected signals
+/// were synthesized on this graph already and `synthesize_signal` is
+/// deterministic, so their bodies are the ones a full pass would build.
+fn resynthesize_unaffected(
+    sg: &StateGraph,
+    mc: McImpl,
+    affected: &[bool],
+) -> Result<McImpl, McError> {
+    let universe = sg.reachable_codes();
+    let signals = mc
         .signals
         .into_iter()
-        .zip(b.signals)
-        .map(|(sa, sb)| {
-            debug_assert_eq!(sa.signal, sb.signal);
-            if sa.cost() <= sb.cost() {
-                sa
-            } else {
-                sb
+        .map(|kept| {
+            if affected[kept.signal.0] {
+                return Ok(kept);
             }
+            let fresh = synthesize_signal_in(sg, &universe, kept.signal)?;
+            Ok(if fresh.cost() <= kept.cost() { fresh } else { kept })
         })
-        .collect();
-    McImpl { signals }
+        .collect::<Result<_, _>>()?;
+    Ok(McImpl { signals })
 }
 
 /// The boolean refinement of a divisor against its target: the bipartition

@@ -4,7 +4,7 @@
 //! architecture (Fig. 2a).
 
 use simap_boolean::{Cover, MinimizeProblem};
-use simap_sg::{regions_of, Event, Region, SignalId, StateGraph, StateId};
+use simap_sg::{regions_of, Event, Region, SignalId, StateGraph, StateId, StateSet};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -200,10 +200,11 @@ impl std::error::Error for McError {}
 /// # Errors
 /// Returns [`McError::CscConflict`] when the specification lacks CSC.
 pub fn synthesize_mc(sg: &StateGraph) -> Result<McImpl, McError> {
+    let universe = sg.reachable_codes();
     let signals = sg
         .implementable_signals()
         .into_iter()
-        .map(|signal| synthesize_signal(sg, signal))
+        .map(|signal| synthesize_signal_in(sg, &universe, signal))
         .collect::<Result<_, _>>()?;
     Ok(McImpl { signals })
 }
@@ -214,10 +215,21 @@ pub fn synthesize_mc(sg: &StateGraph) -> Result<McImpl, McError> {
 /// Returns [`McError::CscConflict`] when the signal's next-state function
 /// is ill-defined on some shared code.
 pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl, McError> {
-    let name = sg.signals()[signal.0].name.clone();
+    synthesize_signal_in(sg, &sg.reachable_codes(), signal)
+}
+
+/// [`synthesize_signal`] with the graph's sorted reachable codes
+/// ([`StateGraph::reachable_codes`]) computed once by the caller: every
+/// cover is minimized over that one universe.
+pub(crate) fn synthesize_signal_in(
+    sg: &StateGraph,
+    universe: &[u64],
+    signal: SignalId,
+) -> Result<SignalImpl, McError> {
+    let name = sg.signals()[signal.0].name.as_str();
     let nvars = sg.signal_count();
 
-    // Next-state partition of the reachable codes.
+    // Next-state partition of the reachable codes, in state order.
     let mut on: Vec<u64> = Vec::new();
     let mut off: Vec<u64> = Vec::new();
     for s in sg.states() {
@@ -231,11 +243,14 @@ pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl
         }
     }
 
-    // CSC sanity: the full on/off split must be well-defined.
+    // CSC sanity: the full on/off split must be well-defined. The first
+    // ON code in state order that is also an OFF code is reported.
     {
-        let off_set: HashSet<u64> = off.iter().copied().collect();
-        if let Some(&code) = on.iter().find(|c| off_set.contains(c)) {
-            return Err(McError::CscConflict { signal: name, code });
+        let mut off_sorted = off.clone();
+        off_sorted.sort_unstable();
+        off_sorted.dedup();
+        if let Some(&code) = on.iter().find(|c| off_sorted.binary_search(c).is_ok()) {
+            return Err(McError::CscConflict { signal: name.to_string(), code });
         }
     }
 
@@ -264,9 +279,8 @@ pub fn synthesize_signal(sg: &StateGraph, signal: SignalId) -> Result<SignalImpl
 
     // Standard-C candidate: per-region set/reset covers plus a C element,
     // all minimized over the one sorted universe of reachable codes.
-    let universe = sg.reachable_codes();
-    let set = region_covers(sg, &universe, Event::rise(signal), &name)?;
-    let reset = region_covers(sg, &universe, Event::fall(signal), &name)?;
+    let set = region_covers(sg, universe, Event::rise(signal), name)?;
+    let reset = region_covers(sg, universe, Event::fall(signal), name)?;
     let standard_c = SignalBody::StandardC { set, reset };
 
     // Pick the cheaper body by `body_cost`. Ties prefer the combinational
@@ -289,6 +303,75 @@ fn body_cost(body: &SignalBody) -> (usize, usize) {
     }
 }
 
+/// A group of excitation regions of one event that share one cover:
+/// initially a single region, merged with another group while a state of
+/// that group shares a code with this group's ER.
+struct RegionGroup {
+    /// Indices of the member regions, in merge order.
+    regions: Vec<usize>,
+    /// Sorted, deduplicated codes of the ER states: the cover's ON set.
+    er_codes: Vec<u64>,
+    /// Sorted, deduplicated codes of the QR states: don't-cares.
+    qr_codes: Vec<u64>,
+    /// The ER and QR states.
+    members: StateSet,
+    /// The QR states.
+    qr: StateSet,
+}
+
+impl RegionGroup {
+    fn new(sg: &StateGraph, index: usize, region: &Region) -> Self {
+        let mut members = region.er.clone();
+        members.union_with(&region.qr);
+        RegionGroup {
+            regions: vec![index],
+            er_codes: sorted_codes(sg, region.er.iter()),
+            qr_codes: sorted_codes(sg, region.qr.iter()),
+            members,
+            qr: region.qr.clone(),
+        }
+    }
+
+    /// Appends `other`'s regions to this group's.
+    fn absorb(&mut self, other: RegionGroup) {
+        self.regions.extend(other.regions);
+        self.er_codes = sorted_union(&self.er_codes, &other.er_codes);
+        self.qr_codes = sorted_union(&self.qr_codes, &other.qr_codes);
+        self.members.union_with(&other.members);
+        self.qr.union_with(&other.qr);
+    }
+
+    /// Whether `code` must be 1 (an ER code) and is not excused as a QR
+    /// code of the group.
+    fn requires(&self, code: u64) -> bool {
+        self.er_codes.binary_search(&code).is_ok() && self.qr_codes.binary_search(&code).is_err()
+    }
+
+    /// Whether `code` is an ER or a QR code of the group.
+    fn owns(&self, code: u64) -> bool {
+        self.er_codes.binary_search(&code).is_ok() || self.qr_codes.binary_search(&code).is_ok()
+    }
+}
+
+/// The sorted, deduplicated codes of `states`.
+fn sorted_codes(sg: &StateGraph, states: impl Iterator<Item = StateId>) -> Vec<u64> {
+    let mut codes: Vec<u64> = states.map(|s| sg.code(s)).collect();
+    codes.sort_unstable();
+    codes.dedup();
+    codes
+}
+
+/// The union of two sorted, deduplicated code lists, sorted and
+/// deduplicated.
+fn sorted_union(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 /// Synthesizes the covers for all excitation regions of `event`, merging
 /// regions whose state codes overlap. `universe` is
 /// [`StateGraph::reachable_codes`].
@@ -299,80 +382,40 @@ fn region_covers(
     name: &str,
 ) -> Result<Vec<RegionCover>, McError> {
     let regions = regions_of(sg, event);
-    if regions.is_empty() {
-        return Ok(Vec::new());
-    }
-    let nvars = sg.signal_count();
-    let all_states: Vec<StateId> = sg.states().collect();
+    let mut groups: Vec<RegionGroup> =
+        regions.iter().enumerate().map(|(i, region)| RegionGroup::new(sg, i, region)).collect();
 
-    // Start with each region in its own group; merge on code conflicts.
-    let mut groups: Vec<Vec<usize>> = (0..regions.len()).map(|i| vec![i]).collect();
+    // Merge on code conflicts: a state outside a group that shares a code
+    // with the group's ER either belongs to another group of the same
+    // event, which is merged in, or is a CSC conflict.
     'merge: loop {
         for (gi, group) in groups.iter().enumerate() {
-            let (on_codes, dc_codes) = group_on_dc(sg, &regions, group);
-            let member_states = group_states(&regions, group);
-            for &s in &all_states {
-                if member_states.contains(&s) {
+            for s in sg.states() {
+                let code = sg.code(s);
+                if group.members.contains(s) || !group.requires(code) {
                     continue;
                 }
-                let code = sg.code(s);
-                if on_codes.contains(&code) && !dc_codes.contains(&code) {
-                    // A state outside the group shares a code with the
-                    // group's ER. If it belongs to another region of the
-                    // same event, merge the groups; otherwise it is a CSC
-                    // conflict.
-                    if let Some(other) = (0..groups.len()).find(|&gj| {
-                        gj != gi
-                            && groups[gj]
-                                .iter()
-                                .any(|&rj| regions[rj].er.contains(s) || regions[rj].qr.contains(s))
-                    }) {
-                        let merged = groups.remove(other.max(gi));
-                        let keep = other.min(gi);
-                        groups[keep].extend(merged);
-                        continue 'merge;
-                    }
+                let Some(other) =
+                    (0..groups.len()).find(|&gj| gj != gi && groups[gj].members.contains(s))
+                else {
                     return Err(McError::CscConflict { signal: name.to_string(), code });
-                }
+                };
+                let merged = groups.remove(other.max(gi));
+                groups[other.min(gi)].absorb(merged);
+                continue 'merge;
             }
         }
         break;
     }
 
-    let mut covers = Vec::new();
-    for group in &groups {
-        let cover = synthesize_group_cover(sg, universe, &regions, group, name)?;
+    let nvars = sg.signal_count();
+    let mut covers = Vec::with_capacity(groups.len());
+    for group in groups {
+        let cover = synthesize_group_cover(sg, universe, &group, name)?;
         let complexity = cover_complexity(universe, &cover, nvars);
-        covers.push(RegionCover { event, region_indices: group.clone(), cover, complexity });
+        covers.push(RegionCover { event, region_indices: group.regions, cover, complexity });
     }
     Ok(covers)
-}
-
-fn group_on_dc(
-    sg: &StateGraph,
-    regions: &[Region],
-    group: &[usize],
-) -> (HashSet<u64>, HashSet<u64>) {
-    let mut on = HashSet::new();
-    let mut dc = HashSet::new();
-    for &ri in group {
-        for s in regions[ri].er.iter() {
-            on.insert(sg.code(s));
-        }
-        for s in regions[ri].qr.iter() {
-            dc.insert(sg.code(s));
-        }
-    }
-    (on, dc)
-}
-
-fn group_states(regions: &[Region], group: &[usize]) -> HashSet<StateId> {
-    let mut states = HashSet::new();
-    for &ri in group {
-        states.extend(regions[ri].er.iter());
-        states.extend(regions[ri].qr.iter());
-    }
-    states
 }
 
 /// Minimizes a group cover and repairs monotonicity (condition 3): the
@@ -381,39 +424,29 @@ fn group_states(regions: &[Region], group: &[usize]) -> HashSet<StateId> {
 fn synthesize_group_cover(
     sg: &StateGraph,
     universe: &[u64],
-    regions: &[Region],
-    group: &[usize],
+    group: &RegionGroup,
     name: &str,
 ) -> Result<Cover, McError> {
     let nvars = sg.signal_count();
-    let (on_codes, dc_codes) = group_on_dc(sg, regions, group);
-    let member_states = group_states(regions, group);
-    let mut off_codes: HashSet<u64> = HashSet::new();
-    for s in sg.states() {
-        if !member_states.contains(&s) {
-            let code = sg.code(s);
-            if !on_codes.contains(&code) && !dc_codes.contains(&code) {
-                off_codes.insert(code);
-            }
-        }
-    }
+    let off_codes = sorted_codes(
+        sg,
+        sg.states().filter(|&s| !group.members.contains(s) && !group.owns(sg.code(s))),
+    );
 
-    let in_qr = |s: StateId| group.iter().any(|&ri| regions[ri].qr.contains(s));
-
-    let mut extra_off: HashSet<u64> = HashSet::new();
+    // QR codes forced into the OFF set by earlier repairs, sorted.
+    let mut extra_off: Vec<u64> = Vec::new();
     for _ in 0..16 {
-        let on: Vec<u64> = on_codes.iter().copied().collect();
-        let off: Vec<u64> = off_codes.iter().chain(extra_off.iter()).copied().collect();
-        let problem = match MinimizeProblem::new(nvars, on, off) {
+        let off = sorted_union(&off_codes, &extra_off);
+        let problem = match MinimizeProblem::new(nvars, group.er_codes.clone(), off) {
             Ok(p) => p,
             Err(e) => return Err(McError::CscConflict { signal: name.to_string(), code: e.code }),
         };
         let cover = problem.minimize();
         // Monotonicity check: no rising edge of the cover into the QR.
         let mut violations = Vec::new();
-        for &s in &member_states {
+        for s in group.members.iter() {
             for &(_, t) in sg.succ(s) {
-                if in_qr(t) && !cover.eval(sg.code(s)) && cover.eval(sg.code(t)) {
+                if group.qr.contains(t) && !cover.eval(sg.code(s)) && cover.eval(sg.code(t)) {
                     violations.push(sg.code(t));
                 }
             }
@@ -424,7 +457,7 @@ fn synthesize_group_cover(
         // Repair: once the cover has fallen it must stay 0 — force the
         // offending QR codes into the OFF set and re-minimize.
         let before = extra_off.len();
-        extra_off.extend(violations);
+        extra_off = sorted_union(&extra_off, &violations);
         if extra_off.len() == before {
             break;
         }
@@ -432,26 +465,21 @@ fn synthesize_group_cover(
 
     // Fallback: the exact characteristic function of ER ∪ QR (covers the
     // whole region, changing zero times inside it — trivially monotonous).
-    let on: Vec<u64> = on_codes.union(&dc_codes).copied().collect();
-    let off: Vec<u64> = {
-        let onset: HashSet<u64> = on.iter().copied().collect();
-        universe.iter().copied().filter(|c| !onset.contains(c)).collect()
-    };
-    match MinimizeProblem::new(nvars, on, off) {
-        Ok(p) => Ok(p.minimize()),
-        Err(e) => Err(McError::CscConflict { signal: name.to_string(), code: e.code }),
-    }
+    // The two lists partition the sorted universe.
+    let on = sorted_union(&group.er_codes, &group.qr_codes);
+    let off = universe.iter().copied().filter(|c| on.binary_search(c).is_err()).collect();
+    Ok(MinimizeProblem::from_sorted(nvars, on, off).minimize())
 }
 
 /// Gate complexity of a synthesized cover: `min(lits(F), lits(F̄))` with
-/// the complement minimized against the same reachable `universe`.
+/// the complement minimized against the same reachable `universe`. The
+/// cover splits the sorted universe into two sorted, disjoint lists, so
+/// the complement problem is built directly from them.
 fn cover_complexity(universe: &[u64], cover: &Cover, nvars: usize) -> usize {
-    let on: Vec<u64> = universe.iter().copied().filter(|&c| cover.eval(c)).collect();
-    let off: Vec<u64> = universe.iter().copied().filter(|&c| !cover.eval(c)).collect();
-    match MinimizeProblem::new(nvars, on, off) {
-        Ok(p) => cover.literal_count().min(p.minimize_complement().literal_count()),
-        Err(_) => cover.literal_count(),
-    }
+    let (on, off): (Vec<u64>, Vec<u64>) = universe.iter().partition(|&&c| cover.eval(c));
+    cover
+        .literal_count()
+        .min(MinimizeProblem::from_sorted(nvars, off, on).minimize().literal_count())
 }
 
 /// Validates that an implementation's covers satisfy the MC conditions on
