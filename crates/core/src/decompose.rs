@@ -347,7 +347,7 @@ fn resynthesize_affected(
 /// Completes the full resynthesis of a committed candidate: resynthesizes
 /// every signal `resynthesize_affected` kept verbatim and keeps, per
 /// signal, the cheaper of the fresh and the kept body by
-/// `SignalImpl::cost` (ties go to the fresh one). The affected signals
+/// `SignalBody::cost` (ties go to the fresh one). The affected signals
 /// were synthesized on this graph already and `synthesize_signal` is
 /// deterministic, so their bodies are the ones a full pass would build.
 fn resynthesize_unaffected(
@@ -364,7 +364,7 @@ fn resynthesize_unaffected(
                 return Ok(kept);
             }
             let fresh = synthesize_signal_in(sg, &universe, kept.signal)?;
-            Ok(if fresh.cost() <= kept.cost() { fresh } else { kept })
+            Ok(if fresh.body.cost() <= kept.body.cost() { fresh } else { kept })
         })
         .collect::<Result<_, _>>()?;
     Ok(McImpl { signals })
@@ -550,11 +550,11 @@ mod tests {
                 for (kept, fresh) in result.mc.signals.iter().zip(&full.signals) {
                     assert_eq!(kept.signal, fresh.signal, "{name} at {limit}");
                     assert!(
-                        kept.cost() <= fresh.cost(),
+                        kept.body.cost() <= fresh.body.cost(),
                         "{name} at {limit}: {} costs {:?} > {:?}",
                         result.sg.signals()[kept.signal.0].name,
-                        kept.cost(),
-                        fresh.cost()
+                        kept.body.cost(),
+                        fresh.body.cost()
                     );
                 }
             }

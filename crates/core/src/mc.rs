@@ -44,6 +44,22 @@ pub enum SignalBody {
     },
 }
 
+impl SignalBody {
+    /// The cost the synthesizer and the decomposition loop compare bodies
+    /// by: first the most complex gate (the quantity the mapper must fit
+    /// into the library), then the total area (a C element ≈ 3 literals,
+    /// §4; a combinational body's C element degenerates to a wire).
+    pub(crate) fn cost(&self) -> (usize, usize) {
+        match self {
+            SignalBody::Combinational { complexity, .. } => (*complexity, *complexity),
+            SignalBody::StandardC { set, reset } => {
+                let gates = || set.iter().chain(reset).map(|c| c.complexity);
+                (gates().max().unwrap_or(0), gates().sum::<usize>() + 3)
+            }
+        }
+    }
+}
+
 /// Implementation of one signal.
 #[derive(Debug, Clone)]
 pub struct SignalImpl {
@@ -82,14 +98,6 @@ impl SignalImpl {
                 set.iter().chain(reset.iter()).map(|c| c.cover.cube_count()).sum()
             }
         }
-    }
-
-    /// The cost the synthesizer and the decomposition loop compare bodies
-    /// by: first the most complex gate (the quantity the mapper must fit
-    /// into the library), then the total area (a C element ≈ 3 literals,
-    /// §4; a combinational body's C element degenerates to a wire).
-    pub(crate) fn cost(&self) -> (usize, usize) {
-        body_cost(&self.body)
     }
 
     /// Total literals across this signal's first-level covers.
@@ -283,24 +291,13 @@ pub(crate) fn synthesize_signal_in(
     let reset = region_covers(sg, universe, Event::fall(signal), name)?;
     let standard_c = SignalBody::StandardC { set, reset };
 
-    // Pick the cheaper body by `body_cost`. Ties prefer the combinational
-    // form, whose C element degenerates to a wire.
+    // Pick the cheaper body by `SignalBody::cost`. Ties prefer the
+    // combinational form, whose C element degenerates to a wire.
     let body = match combinational {
-        Some(comb) if body_cost(&comb) <= body_cost(&standard_c) => comb,
+        Some(comb) if comb.cost() <= standard_c.cost() => comb,
         _ => standard_c,
     };
     Ok(SignalImpl { signal, body })
-}
-
-/// See [`SignalImpl::cost`].
-fn body_cost(body: &SignalBody) -> (usize, usize) {
-    match body {
-        SignalBody::Combinational { complexity, .. } => (*complexity, *complexity),
-        SignalBody::StandardC { set, reset } => {
-            let gates = || set.iter().chain(reset).map(|c| c.complexity);
-            (gates().max().unwrap_or(0), gates().sum::<usize>() + 3)
-        }
-    }
 }
 
 /// A group of excitation regions of one event that share one cover:
