@@ -293,16 +293,7 @@ impl Uncovered {
 
     /// Indices of the uncovered minterms, in increasing order.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(k, &word)| {
-            let mut word = word;
-            std::iter::from_fn(move || {
-                (word != 0).then(|| {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    64 * k + bit
-                })
-            })
-        })
+        self.words.iter().enumerate().flat_map(|(k, &word)| set_bits(word).map(move |b| 64 * k + b))
     }
 
     fn first(&self) -> Option<usize> {
@@ -312,16 +303,24 @@ impl Uncovered {
     /// Marks every uncovered minterm of `on` that `cube` contains covered.
     fn remove_covered(&mut self, on: &[u64], cube: &Cube) {
         for (k, word) in self.words.iter_mut().enumerate() {
-            let mut rest = *word;
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
+            for bit in set_bits(*word) {
                 if cube.eval(on[64 * k + bit]) {
                     *word &= !(1u64 << bit);
                 }
             }
         }
     }
+}
+
+/// The positions of the set bits of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 /// The bit-sliced OFF-set oracle behind `expand` (see the module docs),
