@@ -13,7 +13,7 @@
 //! 3. [`progress`] — Property 3.1/3.2 filters ranking candidate divisors;
 //! 4. [`mod@decompose`] — the main loop: pick the most complex cover, divide
 //!    it (kernels / OR / AND decompositions), insert the best divisor's
-//!    signal, resynthesize every cover from scratch;
+//!    signal, resynthesize the covers that insertion affects;
 //! 5. [`flow`] — netlist construction and §4 cost accounting.
 //!
 //! ## Execution layer

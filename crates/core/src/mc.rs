@@ -44,22 +44,6 @@ pub enum SignalBody {
     },
 }
 
-impl SignalBody {
-    /// The cost the synthesizer and the decomposition loop compare bodies
-    /// by: first the most complex gate (the quantity the mapper must fit
-    /// into the library), then the total area (a C element ≈ 3 literals,
-    /// §4; a combinational body's C element degenerates to a wire).
-    pub(crate) fn cost(&self) -> (usize, usize) {
-        match self {
-            SignalBody::Combinational { complexity, .. } => (*complexity, *complexity),
-            SignalBody::StandardC { set, reset } => {
-                let gates = || set.iter().chain(reset).map(|c| c.complexity);
-                (gates().max().unwrap_or(0), gates().sum::<usize>() + 3)
-            }
-        }
-    }
-}
-
 /// Implementation of one signal.
 #[derive(Debug, Clone)]
 pub struct SignalImpl {
@@ -70,7 +54,8 @@ pub struct SignalImpl {
 }
 
 impl SignalImpl {
-    /// All first-level cover gates of this signal.
+    /// The region covers of a standard-C body, set then reset; empty for a
+    /// combinational body, whose one gate is its next-state cover.
     pub fn covers(&self) -> Vec<&RegionCover> {
         match &self.body {
             SignalBody::Combinational { .. } => Vec::new(),
@@ -78,36 +63,46 @@ impl SignalImpl {
         }
     }
 
+    /// Every gate of this signal as `(event, cover, complexity)`: the one
+    /// next-state gate of a combinational body (under the signal's rising
+    /// event), or a standard-C body's set covers followed by its reset
+    /// covers.
+    pub(crate) fn gates(&self) -> impl Iterator<Item = (Event, &Cover, usize)> + '_ {
+        let (combinational, set, reset): (_, &[RegionCover], &[RegionCover]) = match &self.body {
+            SignalBody::Combinational { cover, complexity } => {
+                (Some((Event::rise(self.signal), cover, *complexity)), &[], &[])
+            }
+            SignalBody::StandardC { set, reset } => (None, set, reset),
+        };
+        let regions = set.iter().chain(reset).map(|c| (c.event, &c.cover, c.complexity));
+        combinational.into_iter().chain(regions)
+    }
+
+    /// The cost the synthesizer compares bodies by: first the most complex
+    /// gate (the quantity the mapper must fit into the library), then the
+    /// total area (a C element ≈ 3 literals, §4; a combinational body's C
+    /// element degenerates to a wire).
+    pub(crate) fn cost(&self) -> (usize, usize) {
+        let c_element = if matches!(self.body, SignalBody::StandardC { .. }) { 3 } else { 0 };
+        let area = self.gates().map(|(_, _, c)| c).sum::<usize>() + c_element;
+        (self.max_complexity(), area)
+    }
+
     /// The most complex gate of this signal (literals, §4 model).
     pub fn max_complexity(&self) -> usize {
-        match &self.body {
-            SignalBody::Combinational { complexity, .. } => *complexity,
-            SignalBody::StandardC { set, reset } => {
-                set.iter().chain(reset.iter()).map(|c| c.complexity).max().unwrap_or(0)
-            }
-        }
+        self.gates().map(|(_, _, c)| c).max().unwrap_or(0)
     }
 
     /// Total cubes across this signal's first-level covers (the single
     /// next-state cover for combinational signals, set plus reset region
     /// covers for standard-C ones).
     pub fn cube_count(&self) -> usize {
-        match &self.body {
-            SignalBody::Combinational { cover, .. } => cover.cube_count(),
-            SignalBody::StandardC { set, reset } => {
-                set.iter().chain(reset.iter()).map(|c| c.cover.cube_count()).sum()
-            }
-        }
+        self.gates().map(|(_, cover, _)| cover.cube_count()).sum()
     }
 
     /// Total literals across this signal's first-level covers.
     pub fn literal_count(&self) -> usize {
-        match &self.body {
-            SignalBody::Combinational { cover, .. } => cover.literal_count(),
-            SignalBody::StandardC { set, reset } => {
-                set.iter().chain(reset.iter()).map(|c| c.cover.literal_count()).sum()
-            }
-        }
+        self.gates().map(|(_, cover, _)| cover.literal_count()).sum()
     }
 }
 
@@ -130,15 +125,8 @@ impl McImpl {
             }
             hist[n] += 1;
         };
-        for s in &self.signals {
-            match &s.body {
-                SignalBody::Combinational { complexity, .. } => bump(*complexity),
-                SignalBody::StandardC { set, reset } => {
-                    for c in set.iter().chain(reset.iter()) {
-                        bump(c.complexity);
-                    }
-                }
-            }
+        for (_, _, complexity) in self.signals.iter().flat_map(SignalImpl::gates) {
+            bump(complexity);
         }
         hist
     }
@@ -153,19 +141,8 @@ impl McImpl {
     pub fn gates_over(&self, limit: usize) -> Vec<(SignalId, Event, Cover, usize)> {
         let mut out = Vec::new();
         for s in &self.signals {
-            match &s.body {
-                SignalBody::Combinational { cover, complexity } => {
-                    if *complexity > limit {
-                        out.push((s.signal, Event::rise(s.signal), cover.clone(), *complexity));
-                    }
-                }
-                SignalBody::StandardC { set, reset } => {
-                    for c in set.iter().chain(reset.iter()) {
-                        if c.complexity > limit {
-                            out.push((s.signal, c.event, c.cover.clone(), c.complexity));
-                        }
-                    }
-                }
+            for (event, cover, c) in s.gates().filter(|&(.., c)| c > limit) {
+                out.push((s.signal, event, cover.clone(), c));
             }
         }
         out.sort_by_key(|&(_, _, _, c)| std::cmp::Reverse(c));
@@ -272,7 +249,7 @@ pub(crate) fn synthesize_signal_in(
     let combinational = MinimizeProblem::new(nvars, on_proj, off_proj).ok().map(|problem| {
         let cover = problem.minimize();
         let complexity = cover.literal_count().min(problem.minimize_complement().literal_count());
-        SignalBody::Combinational { cover, complexity }
+        SignalImpl { signal, body: SignalBody::Combinational { cover, complexity } }
     });
 
     // A signal with no transitions at all is a constant: combinational by
@@ -281,23 +258,21 @@ pub(crate) fn synthesize_signal_in(
         .states()
         .any(|s| sg.enabled(s, Event::rise(signal)) || sg.enabled(s, Event::fall(signal)));
     if !has_transitions {
-        let body = combinational.expect("constant signal has a trivial cover");
-        return Ok(SignalImpl { signal, body });
+        return Ok(combinational.expect("constant signal has a trivial cover"));
     }
 
     // Standard-C candidate: per-region set/reset covers plus a C element,
     // all minimized over the one sorted universe of reachable codes.
     let set = region_covers(sg, universe, Event::rise(signal), name)?;
     let reset = region_covers(sg, universe, Event::fall(signal), name)?;
-    let standard_c = SignalBody::StandardC { set, reset };
+    let standard_c = SignalImpl { signal, body: SignalBody::StandardC { set, reset } };
 
-    // Pick the cheaper body by `SignalBody::cost`. Ties prefer the
+    // Pick the cheaper body by `SignalImpl::cost`. Ties prefer the
     // combinational form, whose C element degenerates to a wire.
-    let body = match combinational {
+    Ok(match combinational {
         Some(comb) if comb.cost() <= standard_c.cost() => comb,
         _ => standard_c,
-    };
-    Ok(SignalImpl { signal, body })
+    })
 }
 
 /// A group of excitation regions of one event that share one cover:
@@ -480,8 +455,9 @@ fn cover_complexity(universe: &[u64], cover: &Cover, nvars: usize) -> usize {
 }
 
 /// Validates that an implementation's covers satisfy the MC conditions on
-/// the given state graph (used by tests and by the decomposition loop's
-/// sanity checks). Returns human-readable complaints.
+/// the given state graph (the flow itself never calls it; the synthesis
+/// tests, the benchmark suite and the decomposition commit-path test do).
+/// Returns human-readable complaints.
 pub fn validate_mc(sg: &StateGraph, mc: &McImpl) -> Vec<String> {
     let mut complaints = Vec::new();
     for simpl in &mc.signals {

@@ -401,9 +401,9 @@ impl Covers {
     /// [`FlowObserver::on_decompose_step`] per committed insertion.
     ///
     /// # Errors
-    /// [`Error::CscViolation`] if a resynthesis step hits an ill-defined
-    /// cover (cannot happen for specifications that passed
-    /// [`Elaborated::covers`]).
+    /// None today: the loop rejects any candidate whose resynthesis fails
+    /// and commits only covers it has already built, so a specification
+    /// that passed [`Elaborated::covers`] always decomposes.
     pub fn decompose(mut self) -> Result<Decomposed, Error> {
         self.ctx.start(Stage::Decompose, self.sg.name());
         // The loop starts from the covers this stage already holds, on the
@@ -413,11 +413,7 @@ impl Covers {
             self.mc,
             &self.ctx.config.flow.decompose,
             self.ctx.observer.as_mut(),
-        )
-        .map_err(|failed| {
-            let (crate::mc::McError::CscConflict { signal, code }, sg) = *failed;
-            Error::CscViolation { signal, code, conflicts: csc_conflicts(&sg) }
-        })?;
+        );
         self.ctx.end(Stage::Decompose);
         Ok(Decomposed {
             ctx: self.ctx,
