@@ -468,10 +468,12 @@ mod tests {
     /// The commit keeps the covers of unaffected signals verbatim. The
     /// result must still validate on its own graph, and keeping a cover
     /// must never be costlier than recomputing it there: no signal may cost
-    /// more than in a full resynthesis of the final graph. Release builds
-    /// check every embedded circuit at limits 2–4 and the first 240 nets of
-    /// the `simap gen` corpus for seed 0; debug builds the circuits of at
-    /// most 400 states at limits 2 and 3.
+    /// more than in a full resynthesis of the final graph. Its standard-C
+    /// circuit must verify speed-independent, as the paper claims of all
+    /// its implementations. Release builds check every embedded circuit at
+    /// limits 2–4 and the first 240 nets of the `simap gen` corpus for
+    /// seed 0; debug builds the circuits of at most 400 states at limits 2
+    /// and 3.
     #[test]
     fn committed_covers_validate_and_beat_full_resynthesis() {
         let check = |name: &str, sg: &StateGraph, limit: usize| {
@@ -490,6 +492,12 @@ mod tests {
                     kept.cost(),
                     fresh.cost()
                 );
+            }
+            let circuit = crate::flow::build_circuit(&result.sg, &result.mc);
+            let config = simap_netlist::VerifyConfig::default();
+            if let Err(e) = simap_netlist::verify_speed_independence(&circuit, &result.sg, &config)
+            {
+                panic!("{name} at {limit} does not verify: {e}");
             }
         };
         let release = !cfg!(debug_assertions);

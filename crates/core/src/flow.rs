@@ -533,6 +533,15 @@ mod tests {
     }
 
     #[test]
+    fn verifier_state_cap_makes_the_verdict_inconclusive() {
+        // The decomposed C3 circuit needs more than two composed states.
+        let config = crate::Config::builder().verify_max_states(2).build().unwrap();
+        let report = Synthesis::from_state_graph(celement_sg(3)).config(&config).run().unwrap();
+        assert!(report.outcome.implementable);
+        assert_eq!(report.verified, None);
+    }
+
+    #[test]
     fn non_si_baseline_costs_initial_impl() {
         let sg = celement_sg(6);
         let config = crate::Config::builder().verify(false).build().unwrap();

@@ -35,19 +35,33 @@ impl NetValues {
     pub fn toggle(&mut self, n: NetId) {
         self.0[n.0 / 64] ^= 1 << (n.0 % 64);
     }
+
+    /// The packed words, net `k` at bit `k % 64` of word `k / 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.0
+    }
+
+    /// Overwrites the valuation with packed `words` of the same length.
+    ///
+    /// # Panics
+    /// When the lengths differ.
+    pub(crate) fn copy_from_words(&mut self, words: &[u64]) {
+        self.0.copy_from_slice(words);
+    }
 }
 
-/// One enabled action of the composition.
-#[derive(Debug, Clone)]
+/// One enabled action of the composition: one net toggles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Move {
-    /// Human-readable description (for diagnostics).
-    pub description: String,
     /// Index of the firing gate, `None` for environment (input) moves.
     pub fired_gate: Option<usize>,
+    /// The specification event the move performs, `None` for a gate
+    /// driving an internal net.
+    pub event: Option<Event>,
+    /// The net that toggles.
+    pub net: NetId,
     /// Specification state after the move.
     pub spec_next: StateId,
-    /// Net valuation after the move.
-    pub vals_next: NetValues,
 }
 
 /// The composition context: net↔signal maps plus the gate list.
@@ -119,32 +133,37 @@ impl<'a> Composition<'a> {
         gate.eval(&|n| vals.get(n), vals.get(gate.output)) != vals.get(gate.output)
     }
 
-    /// Indices of all excited gates.
-    pub fn excited_gates(&self, vals: &NetValues) -> Vec<usize> {
-        (0..self.circuit.gates().len())
-            .filter(|&i| self.excited(vals, &self.circuit.gates()[i]))
-            .collect()
+    /// Fills `out` with the indices of all excited gates.
+    pub fn excited_gates(&self, vals: &NetValues, out: &mut Vec<usize>) {
+        out.clear();
+        let gates = self.circuit.gates();
+        out.extend((0..gates.len()).filter(|&i| self.excited(vals, &gates[i])));
     }
 
-    /// Enumerates every enabled move of the composition.
+    /// Fills `out` with every enabled move of the composition: the
+    /// specification's input events first, then the excited gates in
+    /// gate order.
     ///
     /// # Errors
     /// [`VerifyError::UnexpectedOutput`] when an excited gate would fire an
     /// output transition the specification does not allow.
-    pub fn moves(&self, spec: StateId, vals: &NetValues) -> Result<Vec<Move>, VerifyError> {
-        let mut moves = Vec::new();
+    pub fn moves(
+        &self,
+        spec: StateId,
+        vals: &NetValues,
+        out: &mut Vec<Move>,
+    ) -> Result<(), VerifyError> {
+        out.clear();
         // Environment moves.
         for &(e, t) in self.sg.succ(spec) {
             if self.sg.signals()[e.signal.0].kind != SignalKind::Input {
                 continue;
             }
-            let mut next = vals.clone();
-            next.toggle(self.signal_net[e.signal.0]);
-            moves.push(Move {
-                description: format!("input {}", self.sg.event_name(e)),
+            out.push(Move {
                 fired_gate: None,
+                event: Some(e),
+                net: self.signal_net[e.signal.0],
                 spec_next: t,
-                vals_next: next,
             });
         }
         // Circuit moves.
@@ -152,19 +171,11 @@ impl<'a> Composition<'a> {
             if !self.excited(vals, g) {
                 continue;
             }
-            let rising = !vals.get(g.output);
-            let mut next = vals.clone();
-            next.toggle(g.output);
-            match self.net_signal[g.output.0] {
+            let (event, spec_next) = match self.net_signal[g.output.0] {
                 Some(sig) => {
-                    let ev = Event { signal: simap_sg::SignalId(sig), rising };
+                    let ev = Event { signal: simap_sg::SignalId(sig), rising: !vals.get(g.output) };
                     match self.sg.fire(spec, ev) {
-                        Some(t) => moves.push(Move {
-                            description: format!("output {}", self.sg.event_name(ev)),
-                            fired_gate: Some(gi),
-                            spec_next: t,
-                            vals_next: next,
-                        }),
+                        Some(t) => (Some(ev), t),
                         None => {
                             return Err(VerifyError::UnexpectedOutput {
                                 event: self.sg.event_name(ev),
@@ -172,35 +183,44 @@ impl<'a> Composition<'a> {
                         }
                     }
                 }
-                None => moves.push(Move {
-                    description: format!("internal {}", g.name),
-                    fired_gate: Some(gi),
-                    spec_next: spec,
-                    vals_next: next,
-                }),
-            }
+                None => (None, spec),
+            };
+            out.push(Move { fired_gate: Some(gi), event, net: g.output, spec_next });
         }
-        Ok(moves)
+        Ok(())
+    }
+
+    /// Renders a move for diagnostics: `input a+`, `output b-` or
+    /// `internal g`.
+    pub fn describe(&self, mv: &Move) -> String {
+        match (mv.fired_gate, mv.event) {
+            (None, Some(e)) => format!("input {}", self.sg.event_name(e)),
+            (Some(_), Some(e)) => format!("output {}", self.sg.event_name(e)),
+            (Some(gi), None) => format!("internal {}", self.circuit.gates()[gi].name),
+            (None, None) => unreachable!("every environment move performs an event"),
+        }
     }
 
     /// Semi-modularity check for one move: every excited gate other than
-    /// the firing one must stay excited.
+    /// the firing one must stay excited in `vals_next`, the valuation
+    /// after `mv`.
     ///
     /// # Errors
     /// [`VerifyError::Disabled`] naming the hazard.
     pub fn check_semi_modularity(
         &self,
         excited_before: &[usize],
+        vals_next: &NetValues,
         mv: &Move,
     ) -> Result<(), VerifyError> {
         for &gi in excited_before {
             if Some(gi) == mv.fired_gate {
                 continue;
             }
-            if !self.excited(&mv.vals_next, &self.circuit.gates()[gi]) {
+            if !self.excited(vals_next, &self.circuit.gates()[gi]) {
                 return Err(VerifyError::Disabled {
                     gate: self.circuit.gates()[gi].name.clone(),
-                    by: mv.description.clone(),
+                    by: self.describe(mv),
                 });
             }
         }

@@ -76,13 +76,15 @@ pub fn simulate(
     let mut rng = XorShift::new(config.seed);
     let mut transitions = 0usize;
     let mut terminated = 0usize;
+    let (mut excited, mut moves) = (Vec::new(), Vec::new());
+    let mut vals = init.clone();
 
     for _ in 0..config.runs {
         let mut spec = sg.initial();
-        let mut vals = init.clone();
+        vals.clone_from(&init);
         for _ in 0..config.steps {
-            let excited_now = comp.excited_gates(&vals);
-            let moves = comp.moves(spec, &vals)?;
+            comp.excited_gates(&vals, &mut excited);
+            comp.moves(spec, &vals, &mut moves)?;
             if moves.is_empty() {
                 if !sg.succ(spec).is_empty() {
                     return Err(VerifyError::Deadlock { spec_state: spec.0 });
@@ -90,10 +92,10 @@ pub fn simulate(
                 terminated += 1;
                 break;
             }
-            let mv = &moves[rng.below(moves.len())];
-            comp.check_semi_modularity(&excited_now, mv)?;
+            let mv = moves[rng.below(moves.len())];
+            vals.toggle(mv.net);
+            comp.check_semi_modularity(&excited, &vals, &mv)?;
             spec = mv.spec_next;
-            vals = mv.vals_next.clone();
             transitions += 1;
         }
     }

@@ -8,10 +8,16 @@
 //! stability without firing — exactly Muller's hazard-freedom condition
 //! the paper's implementations are verified with ("All the implementations
 //! have been verified to be speed-independent", §4).
+//!
+//! The visited set is a [`simap_sg::PackedSet`], the one packed-state
+//! interner packed STG reachability also runs on: a composed state is one
+//! fixed-width row holding the specification state and the packed net
+//! values, so it costs no heap key, and the breadth-first order (hence
+//! [`VerifyStats`] and the first error found) is the row numbering.
 
 use crate::circuit::Circuit;
-use simap_sg::{StateGraph, StateId};
-use std::collections::HashMap;
+use crate::composition::Composition;
+use simap_sg::{PackedSet, StateGraph, StateId};
 use std::fmt;
 
 /// Exploration limits.
@@ -105,25 +111,27 @@ pub fn verify_speed_independence(
     sg: &StateGraph,
     config: &VerifyConfig,
 ) -> Result<VerifyStats, VerifyError> {
-    use crate::composition::{Composition, NetValues};
-
     let comp = Composition::new(circuit, sg)?;
-    let init = comp.initial_values()?;
+    let mut vals = comp.initial_values()?;
 
-    // BFS over composed states.
-    let mut index: HashMap<(StateId, NetValues), usize> = HashMap::new();
-    let mut queue: Vec<(StateId, NetValues)> = Vec::new();
-    index.insert((sg.initial(), init.clone()), 0);
-    queue.push((sg.initial(), init));
+    // BFS over composed states, each one row `[spec state, net words…]`
+    // numbered in discovery order: the row id is the queue position.
+    let mut seen = PackedSet::new(1 + vals.words().len());
+    let mut row = vec![sg.initial().0 as u64];
+    row.extend_from_slice(vals.words());
+    seen.insert(&row);
+    let (mut excited, mut moves) = (Vec::new(), Vec::new());
     let mut transitions = 0usize;
     let mut head = 0;
 
-    while head < queue.len() {
-        let (spec, vals) = queue[head].clone();
+    while head < seen.len() {
+        let cur = seen.row(head);
+        let spec = StateId(cur[0] as usize);
+        vals.copy_from_words(&cur[1..]);
         head += 1;
 
-        let excited_now = comp.excited_gates(&vals);
-        let moves = comp.moves(spec, &vals)?;
+        comp.excited_gates(&vals, &mut excited);
+        comp.moves(spec, &vals, &mut moves)?;
         if moves.is_empty() {
             if !sg.succ(spec).is_empty() {
                 return Err(VerifyError::Deadlock { spec_state: spec.0 });
@@ -131,21 +139,20 @@ pub fn verify_speed_independence(
             continue;
         }
 
-        for mv in moves {
-            comp.check_semi_modularity(&excited_now, &mv)?;
+        for mv in &moves {
+            vals.toggle(mv.net);
+            comp.check_semi_modularity(&excited, &vals, mv)?;
             transitions += 1;
-            let key = (mv.spec_next, mv.vals_next);
-            if !index.contains_key(&key) {
-                if index.len() >= config.max_states {
-                    return Err(VerifyError::TooManyStates { limit: config.max_states });
-                }
-                index.insert(key.clone(), queue.len());
-                queue.push(key);
+            row[0] = mv.spec_next.0 as u64;
+            row[1..].copy_from_slice(vals.words());
+            vals.toggle(mv.net);
+            if seen.insert(&row).1 && seen.len() > config.max_states {
+                return Err(VerifyError::TooManyStates { limit: config.max_states });
             }
         }
     }
 
-    Ok(VerifyStats { states: queue.len(), transitions })
+    Ok(VerifyStats { states: seen.len(), transitions })
 }
 
 #[cfg(test)]
@@ -182,6 +189,20 @@ mod tests {
         let stats =
             verify_speed_independence(&c, &sg, &VerifyConfig::default()).expect("buffer is SI");
         assert!(stats.states >= 4);
+    }
+
+    #[test]
+    fn state_cap_is_exact() {
+        let sg = handshake();
+        let mut c = Circuit::new();
+        let a = c.add_net("a", Some(SignalId(0)));
+        let b = c.add_net("b", Some(SignalId(1)));
+        c.add_gate(sop_gate("buf", &Cover::literal(Literal::pos(0)), |_| a, b)).unwrap();
+        let stats = verify_speed_independence(&c, &sg, &VerifyConfig::default()).unwrap();
+        let n = stats.states;
+        let at = |max_states| verify_speed_independence(&c, &sg, &VerifyConfig { max_states });
+        assert_eq!(at(n), Ok(stats));
+        assert_eq!(at(n - 1), Err(VerifyError::TooManyStates { limit: n - 1 }));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! (§2.1 — consistency, determinism, commutativity, output persistency,
 //! Complete State Coding) and the region machinery of §2.2 (excitation,
 //! switching and restricted quiescent regions, trigger events, state
-//! diamonds).
+//! diamonds). [`PackedSet`] is the visited set of the explicit
+//! state-space searches built on top: packed STG reachability and the
+//! speed-independence verifier.
 //!
 //! ```
 //! use simap_sg::{Event, Signal, SignalId, SignalKind, StateGraphBuilder};
@@ -34,6 +36,7 @@
 
 pub mod export;
 pub mod graph;
+pub mod packed;
 pub mod properties;
 pub mod regions;
 pub mod signal;
@@ -41,6 +44,7 @@ pub mod stateset;
 
 pub use export::{to_dot, DotOptions};
 pub use graph::{BuildSgError, StateGraph, StateGraphBuilder, StateId};
+pub use packed::PackedSet;
 pub use properties::{
     check_all, check_commutativity, check_consistency, check_csc, check_determinism,
     check_output_persistency, check_reachability, PropertyReport, PropertyViolation,

@@ -11,9 +11,10 @@
 //!   every place owns a fixed-width bit field inside them (wide enough
 //!   for `max_tokens + 1` plus a SWAR guard bit). All markings live in
 //!   one contiguous arena — no per-state heap allocation.
-//! * **Interning.** States are deduplicated through an open-addressing
-//!   hash-to-index table over the arena, so the visited set costs one
-//!   probe sequence per successor instead of a `HashMap<Vec<u8>, _>`
+//! * **Interning.** The arena is a [`simap_sg::PackedSet`], the visited
+//!   set the speed-independence verifier shares: an open-addressing
+//!   hash-to-index table deduplicates markings, so the visited set costs
+//!   one probe sequence per successor instead of a `HashMap<Vec<u8>, _>`
 //!   entry per state.
 //! * **Mask-compiled transitions.** For every transition the engine
 //!   precomputes per-word enable probes and fire deltas, turning
@@ -28,7 +29,7 @@
 //! byte-identical state graphs and identical [`ReachError`] values.
 
 use crate::petri::{PlaceId, Stg, TransitionId};
-use simap_sg::{check_consistency, StateGraph, StateId};
+use simap_sg::{check_consistency, PackedSet, StateGraph, StateId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -739,94 +740,6 @@ impl PackedNet {
     }
 }
 
-/// Open-addressing hash-to-index table over the packed arena.
-struct InternTable {
-    /// Slot values are arena indices; `usize::MAX` marks an empty slot.
-    slots: Vec<usize>,
-    mask: usize,
-    len: usize,
-}
-
-impl InternTable {
-    fn with_capacity(n: usize) -> InternTable {
-        let cap = (n.max(8) * 2).next_power_of_two();
-        InternTable { slots: vec![usize::MAX; cap], mask: cap - 1, len: 0 }
-    }
-
-    #[inline]
-    fn hash(words: &[u64]) -> u64 {
-        // SplitMix64-style fold: cheap, well-distributed for dense words.
-        // The 1- and 2-word layouts (every 1-safe net up to 32 and 64
-        // places) take branch-free specializations.
-        let mix = |h: u64, w: u64| {
-            let mut z = h ^ w;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-        match *words {
-            [a] => mix(SEED, a),
-            [a, b] => mix(mix(SEED, a), b),
-            ref ws => ws.iter().fold(SEED, |h, &w| mix(h, w)),
-        }
-    }
-
-    /// Stride-specialized slice equality against the arena.
-    #[inline]
-    fn matches(arena: &[u64], stride: usize, i: usize, needle: &[u64]) -> bool {
-        match *needle {
-            [a] => arena[i] == a,
-            [a, b] => {
-                let base = i * 2;
-                arena[base] == a && arena[base + 1] == b
-            }
-            ref ws => &arena[i * stride..(i + 1) * stride] == ws,
-        }
-    }
-
-    /// Looks up the packed marking in the arena; on a miss, reserves the
-    /// slot for `candidate` and returns `None` (the caller then appends
-    /// the marking at index `candidate`).
-    fn lookup_or_reserve(
-        &mut self,
-        arena: &[u64],
-        stride: usize,
-        needle: &[u64],
-        candidate: usize,
-    ) -> Option<usize> {
-        if self.len * 3 >= self.slots.len() * 2 {
-            self.grow(arena, stride);
-        }
-        let mut slot = (Self::hash(needle) as usize) & self.mask;
-        loop {
-            match self.slots[slot] {
-                usize::MAX => {
-                    self.slots[slot] = candidate;
-                    self.len += 1;
-                    return None;
-                }
-                i if Self::matches(arena, stride, i, needle) => return Some(i),
-                _ => slot = (slot + 1) & self.mask,
-            }
-        }
-    }
-
-    fn grow(&mut self, arena: &[u64], stride: usize) {
-        let cap = self.slots.len() * 2;
-        let mut bigger = InternTable { slots: vec![usize::MAX; cap], mask: cap - 1, len: self.len };
-        for &i in self.slots.iter().filter(|&&i| i != usize::MAX) {
-            let words = &arena[i * stride..(i + 1) * stride];
-            let mut slot = (Self::hash(words) as usize) & bigger.mask;
-            while bigger.slots[slot] != usize::MAX {
-                slot = (slot + 1) & bigger.mask;
-            }
-            bigger.slots[slot] = i;
-        }
-        *self = bigger;
-    }
-}
-
 /// Why one packed exploration attempt stopped.
 pub(crate) enum Abort {
     /// A real reachability error — propagate it.
@@ -842,23 +755,21 @@ impl From<ReachError> for Abort {
     }
 }
 
-/// The packed BFS state: marking arena, per-state enabled-transition
-/// bitmasks (maintained incrementally), intern table and the outputs.
+/// The packed BFS state: interned markings, per-state enabled-transition
+/// bitmasks (maintained incrementally) and the outputs.
 struct PackedExplorer<'a> {
     stg: &'a Stg,
     net: PackedNet,
-    stride: usize,
     t_words: usize,
     max_states: usize,
     max_tokens: u8,
-    /// Packed markings, `stride` words per state.
-    arena: Vec<u64>,
+    /// Packed markings, `stride` words per state, numbered in BFS order.
+    states: PackedSet,
     /// Enabled-transition bitmask per state, `t_words` words each,
-    /// parallel to `arena`. Computed once per *new* state from its BFS
+    /// parallel to `states`. Computed once per *new* state from its BFS
     /// parent's mask: carried-over bits plus the rechecked neighborhood
     /// of the fired transition.
     enabled: Vec<u64>,
-    table: InternTable,
     /// Event label per transition, resolved once.
     events: Vec<simap_sg::Event>,
     parent: Vec<Option<(usize, TransitionId)>>,
@@ -891,13 +802,11 @@ impl<'a> PackedExplorer<'a> {
 
         let mut this = PackedExplorer {
             stg,
-            stride,
             t_words,
             max_states: config.max_states,
             max_tokens: config.max_tokens,
-            arena: Vec::with_capacity(stride * 4096),
+            states: PackedSet::with_capacity(stride, 4096),
             enabled: Vec::with_capacity(t_words * 4096),
-            table: InternTable::with_capacity(2048),
             events: stg.transitions().iter().map(|t| t.event).collect(),
             parent: Vec::with_capacity(4096),
             edge_off: Vec::with_capacity(4096),
@@ -907,16 +816,14 @@ impl<'a> PackedExplorer<'a> {
             scratch_en: vec![0u64; t_words],
             net,
         };
-        this.arena.extend_from_slice(&initial);
+        this.states.insert(&initial);
         this.enabled.extend_from_slice(&en0);
-        let reserved = this.table.lookup_or_reserve(&this.arena, stride, &initial, 0);
-        debug_assert!(reserved.is_none());
         this.parent.push(None);
         this
     }
 
     fn count(&self) -> usize {
-        self.arena.len() / self.stride
+        self.states.len()
     }
 
     fn fault(&self, fault: FireFault, src: usize) -> Abort {
@@ -930,14 +837,12 @@ impl<'a> PackedExplorer<'a> {
         }
     }
 
-    /// Interns one fired successor: dedup through the table, append to
-    /// the arena on a miss (deriving its enabled set from the source's),
-    /// record the edge.
+    /// Interns one fired successor: on a miss, derive its enabled set
+    /// from the source's; record the edge.
     fn intern(&mut self, src: usize, t: TransitionId, next: &[u64]) -> Result<(), Abort> {
-        let candidate = self.count();
-        let dst = match self.table.lookup_or_reserve(&self.arena, self.stride, next, candidate) {
-            Some(i) => i,
-            None => {
+        let dst = match self.states.insert(next) {
+            (i, false) => i,
+            (candidate, true) => {
                 if candidate >= self.max_states {
                     return Err(Abort::Error(ReachError::StateLimit {
                         limit: self.max_states,
@@ -960,7 +865,6 @@ impl<'a> PackedExplorer<'a> {
                         self.scratch_en[u as usize / 64] |= 1u64 << (u % 64);
                     }
                 }
-                self.arena.extend_from_slice(next);
                 self.enabled.extend_from_slice(&self.scratch_en);
                 self.parent.push(Some((src, t)));
                 candidate
@@ -972,7 +876,7 @@ impl<'a> PackedExplorer<'a> {
 
     /// Expands the frontier states `lo..hi` of one BFS level.
     fn expand_level(&mut self, lo: usize, hi: usize) -> Result<(), Abort> {
-        let stride = self.stride;
+        let stride = self.states.stride();
         let mut cur = vec![0u64; stride];
         let mut cur_en = vec![0u64; self.t_words];
         let mut next = vec![0u64; stride];
@@ -980,7 +884,7 @@ impl<'a> PackedExplorer<'a> {
             self.edge_off.push(self.edge_arcs.len());
             // Local copies: the loop then reads stable buffers while the
             // arenas grow behind them.
-            cur.copy_from_slice(&self.arena[src * stride..(src + 1) * stride]);
+            cur.copy_from_slice(self.states.row(src));
             cur_en.copy_from_slice(&self.enabled[src * self.t_words..(src + 1) * self.t_words]);
             for (w, &bits) in cur_en.iter().enumerate() {
                 let mut bits = bits;

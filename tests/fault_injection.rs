@@ -2,19 +2,88 @@
 //! assert that the speed-independence verifier refuses each mutant. This
 //! is the negative side of the paper's "all implementations have been
 //! verified" claim — the verifier must actually be able to fail.
+//!
+//! Every verdict is also checked against [`oracle`], a plain `HashMap`
+//! breadth-first search over the public [`Composition`] API: the packed
+//! verifier must return the same statistics or the same first error.
 
 use simap::boolean::{Cover, Cube, Literal};
-use simap::core::{build_circuit, synthesize_mc, McImpl, SignalBody};
-use simap::netlist::{verify_speed_independence, VerifyConfig, VerifyError};
-use simap::sg::StateGraph;
+use simap::core::{build_circuit, decompose, synthesize_mc, DecomposeConfig, McImpl, SignalBody};
+use simap::netlist::{
+    verify_speed_independence, Circuit, Composition, NetValues, VerifyConfig, VerifyError,
+    VerifyStats,
+};
+use simap::sg::{StateGraph, StateId};
+use std::collections::HashMap;
 
 fn sg_of(name: &str) -> StateGraph {
     let stg = simap::stg::benchmark(name).expect("known benchmark");
     simap::stg::elaborate(&stg).expect("elaborates")
 }
 
-fn verify(circuit: &simap::netlist::Circuit, sg: &StateGraph) -> Result<(), VerifyError> {
-    verify_speed_independence(circuit, sg, &VerifyConfig::default()).map(|_| ())
+/// The reference verifier: one `HashMap` entry per composed state, a
+/// cloned valuation per move, the semi-modularity check spelled out. It
+/// explores in the same breadth-first order as the packed verifier, so
+/// both must agree on the statistics and on the first error.
+fn oracle(
+    circuit: &Circuit,
+    sg: &StateGraph,
+    max_states: usize,
+) -> Result<VerifyStats, VerifyError> {
+    let comp = Composition::new(circuit, sg)?;
+    let init = comp.initial_values()?;
+    let mut index: HashMap<(StateId, NetValues), usize> = HashMap::new();
+    let mut queue: Vec<(StateId, NetValues)> = Vec::new();
+    index.insert((sg.initial(), init.clone()), 0);
+    queue.push((sg.initial(), init));
+    let (mut excited, mut moves) = (Vec::new(), Vec::new());
+    let mut transitions = 0usize;
+    let mut head = 0;
+
+    while head < queue.len() {
+        let (spec, vals) = queue[head].clone();
+        head += 1;
+        comp.excited_gates(&vals, &mut excited);
+        comp.moves(spec, &vals, &mut moves)?;
+        if moves.is_empty() {
+            if !sg.succ(spec).is_empty() {
+                return Err(VerifyError::Deadlock { spec_state: spec.0 });
+            }
+            continue;
+        }
+        for mv in &moves {
+            let mut next = vals.clone();
+            next.toggle(mv.net);
+            for &gi in &excited {
+                let gate = &circuit.gates()[gi];
+                if Some(gi) != mv.fired_gate && !comp.excited(&next, gate) {
+                    return Err(VerifyError::Disabled {
+                        gate: gate.name.clone(),
+                        by: comp.describe(mv),
+                    });
+                }
+            }
+            transitions += 1;
+            let key = (mv.spec_next, next);
+            if !index.contains_key(&key) {
+                if index.len() >= max_states {
+                    return Err(VerifyError::TooManyStates { limit: max_states });
+                }
+                index.insert(key.clone(), queue.len());
+                queue.push(key);
+            }
+        }
+    }
+    Ok(VerifyStats { states: queue.len(), transitions })
+}
+
+/// Verifies with the packed verifier and asserts that the oracle returns
+/// the same statistics or the same error.
+fn verify(circuit: &Circuit, sg: &StateGraph) -> Result<VerifyStats, VerifyError> {
+    let config = VerifyConfig::default();
+    let verdict = verify_speed_independence(circuit, sg, &config);
+    assert_eq!(verdict, oracle(circuit, sg, config.max_states), "verifier and oracle disagree");
+    verdict
 }
 
 fn mc_of(sg: &StateGraph) -> McImpl {
@@ -103,7 +172,7 @@ fn unacknowledged_decomposition_is_refuted() {
     let c = sg.signal_by_name("c").expect("output c");
     let a = |i: usize| sg.signal_by_name(&format!("a{i}")).expect("input");
 
-    let mut circuit = simap::netlist::Circuit::new();
+    let mut circuit = Circuit::new();
     let na: Vec<_> = (0..3).map(|i| circuit.add_net(format!("a{i}"), Some(a(i)))).collect();
     let nc = circuit.add_net("c", Some(c));
     let mid = circuit.add_net("mid", None);
@@ -150,8 +219,7 @@ fn acknowledged_decomposition_verifies() {
         simap::core::decompose(&sg, &simap::core::DecomposeConfig::with_limit(2)).expect("CSC");
     assert!(result.implementable);
     let circuit = build_circuit(&result.sg, &result.mc);
-    verify_speed_independence(&circuit, &result.sg, &VerifyConfig::default())
-        .expect("the SG-level decomposition is hazard-free");
+    verify(&circuit, &result.sg).expect("the SG-level decomposition is hazard-free");
 }
 
 /// Dropping the C element (treating a sequential signal as a wire from its
@@ -160,7 +228,7 @@ fn acknowledged_decomposition_verifies() {
 fn missing_state_holding_is_refuted() {
     let sg = sg_of("dff");
     let mc = mc_of(&sg);
-    let mut circuit = simap::netlist::Circuit::new();
+    let mut circuit = Circuit::new();
     let nets: Vec<_> = sg
         .signals()
         .iter()
@@ -176,4 +244,38 @@ fn missing_state_holding_is_refuted() {
         }
     }
     assert!(verify(&circuit, &sg).is_err(), "wire-instead-of-C must be refuted");
+}
+
+/// The packed verifier agrees with the oracle on the decomposed
+/// implementation of every embedded circuit at limits 2, 3 and 4, and on
+/// the state cap: each run passes again with the cap set to exactly the
+/// composed states it needs, and at one fewer both stop with the same
+/// `TooManyStates`. Debug builds check the
+/// circuits of at most 400 states.
+#[test]
+fn verifier_matches_oracle_on_every_circuit() {
+    for &name in simap::stg::benchmark_names() {
+        let sg = sg_of(name);
+        if cfg!(debug_assertions) && sg.state_count() > 400 {
+            continue;
+        }
+        for limit in [2, 3, 4] {
+            let result = decompose(&sg, &DecomposeConfig::with_limit(limit)).expect("CSC holds");
+            let circuit = build_circuit(&result.sg, &result.mc);
+            let stats =
+                verify(&circuit, &result.sg).unwrap_or_else(|e| panic!("{name} at {limit}: {e}"));
+            let exact = VerifyConfig { max_states: stats.states };
+            let exact_verdict = verify_speed_independence(&circuit, &result.sg, &exact);
+            assert_eq!(exact_verdict.as_ref(), Ok(&stats), "{name} at {limit}");
+            let capped = VerifyConfig { max_states: stats.states - 1 };
+            let too_many = Err(VerifyError::TooManyStates { limit: stats.states - 1 });
+            assert_eq!(
+                verify_speed_independence(&circuit, &result.sg, &capped),
+                too_many,
+                "{name} at {limit}"
+            );
+            let oracle_verdict = oracle(&circuit, &result.sg, capped.max_states);
+            assert_eq!(oracle_verdict, too_many, "{name} at {limit}");
+        }
+    }
 }
