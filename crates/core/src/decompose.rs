@@ -22,13 +22,37 @@
 //! commit-path test below checks that no kept cover costs more than a
 //! fresh one.
 //!
-//! Every accepted insertion is committed only after the rebuilt state
-//! graph `A′` passes all property checks and the resynthesized covers
-//! strictly reduce the *excess* (sum over gates of `literals − limit`),
-//! which guarantees termination.
+//! An insertion is committed only if the rebuilt state graph `A′` passes
+//! all property checks and the resynthesized covers strictly reduce the
+//! *excess* (sum over gates of `literals − limit`), which guarantees
+//! termination. The winner is the minimum of `(excess, area, rank)` over
+//! the candidates that pass both, and the two tests are ordered so that
+//! most candidates pay for neither in full (branch and bound; Land and
+//! Doig, *Econometrica* 28(3), 1960):
+//!
+//! 1. **Evaluate.** Each top-ranked candidate is inserted and its affected
+//!    covers resynthesized, without the property check. Only its excess,
+//!    area, rank and covers are kept; its graph is dropped.
+//! 2. **Bound.** Excess is a sum of non-negative per-signal terms. The
+//!    resynthesis adds them up as it goes, kept covers first, then the
+//!    target, the delayed-exit owners and the new signal last, and stops
+//!    once the partial sum reaches the current excess: such a candidate
+//!    could never be accepted.
+//! 3. **Sort.** The survivors are ordered by `(excess, area, rank)`.
+//! 4. **Lazy check.** The survivors are re-inserted (insertion is
+//!    deterministic) and checked in that order, and the first one whose
+//!    graph passes is committed.
+//!
+//! The order cannot change the winner. The bound rejects only candidates
+//! whose full excess would also reach the current one. Every survivor
+//! sorted ahead of the committed one failed the property check and would
+//! have been rejected by it. A failing candidate is never committed. So
+//! the first passing survivor is the minimum over all passing candidates.
+//! There is usually one property check per commit instead of one per
+//! candidate.
 
 use crate::insertion::{compute_insertion, insert_signal, Insertion};
-use crate::mc::{synthesize_mc, synthesize_signal_in, McError, McImpl};
+use crate::mc::{synthesize_mc, synthesize_signal_in, McError, McImpl, SignalImpl};
 use crate::observer::{FlowObserver, NullObserver};
 use crate::progress::estimate_progress;
 use simap_boolean::{generate_divisors, Cover, DivisorConfig};
@@ -114,7 +138,12 @@ pub struct DecomposeResult {
 
 /// Total amount by which gates exceed the literal limit.
 pub fn excess(mc: &McImpl, limit: usize) -> usize {
-    mc.signals.iter().flat_map(|s| s.gates()).map(|(_, _, c)| c.saturating_sub(limit)).sum()
+    mc.signals.iter().map(|s| signal_excess(s, limit)).sum()
+}
+
+/// Amount by which one signal's gates exceed the literal limit.
+fn signal_excess(s: &SignalImpl, limit: usize) -> usize {
+    s.gates().map(|(_, _, c)| c.saturating_sub(limit)).sum()
 }
 
 /// Runs the decomposition loop on a specification.
@@ -149,9 +178,24 @@ pub fn decompose_with(
 /// commit synthesizes nothing.
 pub(crate) fn decompose_from(
     initial: StateGraph,
+    mc: McImpl,
+    config: &DecomposeConfig,
+    observer: &mut dyn FlowObserver,
+) -> DecomposeResult {
+    decompose_loop(initial, mc, config, observer, select)
+}
+
+/// Picks the candidate a round commits among its top-ranked candidates.
+type Select = fn(&Round<'_>, &[(i64, Cover, Insertion)]) -> Option<Chosen>;
+
+/// The loop itself, with the candidate choice `select` ([`select`] in
+/// production; the tests also run it with the eager reference selection).
+fn decompose_loop(
+    initial: StateGraph,
     mut mc: McImpl,
     config: &DecomposeConfig,
     observer: &mut dyn FlowObserver,
+    select: Select,
 ) -> DecomposeResult {
     // The graph after the last committed insertion; `initial` until then.
     let mut current: Option<StateGraph> = None;
@@ -178,7 +222,7 @@ pub(crate) fn decompose_from(
             // that yields sequential decompositions such as C-element
             // trees).
             let divisors = generate_divisors(target_cover, &config.divisors);
-            let mut ranked: Vec<(i64, Cover, crate::insertion::Insertion)> = Vec::new();
+            let mut ranked: Vec<(i64, Cover, Insertion)> = Vec::new();
             let mut seen_partitions: Vec<Cover> = Vec::new();
             for base in divisors {
                 let refined = if config.use_boolean_refinement {
@@ -206,57 +250,26 @@ pub(crate) fn decompose_from(
                 }
             }
             ranked.sort_by_key(|(score, f, _)| (std::cmp::Reverse(*score), f.literal_count()));
+            ranked.truncate(config.max_candidates_tried);
 
-            // Evaluate the top-ranked candidates exactly (insertion +
-            // verification + the loop's one resynthesis, of the *affected*
-            // signals only — covers that do not mention the new signal and
-            // whose events are not delayed remain valid verbatim). Only a
-            // candidate that strictly reduces the excess survives. Every
-            // candidate is tried; the lowest (excess, area) wins, ties going
-            // to the earlier one in ranked order.
             let name = format!("x{}", inserted.len());
-            let evaluate = |f: &Cover, ins: &Insertion| {
-                let candidate_sg = insert_signal(sg, ins, &name, SignalKind::Internal).ok()?;
-                if !check_all(&candidate_sg).is_ok() {
-                    return None;
-                }
-                let candidate_mc =
-                    resynthesize_affected(&candidate_sg, &mc, *target_signal).ok()?;
-                if config.ack_mode == AckMode::Local {
-                    let x = SignalId(candidate_sg.signal_count() - 1);
-                    if !locally_acknowledged(&candidate_mc, *target_signal, x) {
-                        return None;
-                    }
-                }
-                let excess_after = excess(&candidate_mc, config.literal_limit);
-                if excess_after >= excess_now {
-                    return None;
-                }
-                let area = crate::flow::si_cost(&candidate_mc, config.literal_limit.max(2)).area();
-                Some((excess_after, area, candidate_sg, candidate_mc, f.clone()))
-            };
-            let mut best: Option<(usize, usize, StateGraph, McImpl, Cover)> = None;
-            let tried = ranked.iter().take(config.max_candidates_tried);
-            for candidate in tried.filter_map(|(_, f, ins)| evaluate(f, ins)) {
-                let (excess_after, area, ..) = &candidate;
-                if best.as_ref().map(|(e, a, ..)| (excess_after, area) < (e, a)).unwrap_or(true) {
-                    best = Some(candidate);
-                }
-            }
-            if let Some((excess_after, _, candidate_sg, candidate_mc, f)) = best {
-                // Commit the best candidate exactly as evaluation built it:
+            let round =
+                Round { sg, mc: &mc, target: *target_signal, name: &name, excess_now, config };
+            if let Some(chosen) = select(&round, &ranked) {
+                // Commit the chosen candidate exactly as it was evaluated:
                 // its graph and its covers, the affected ones resynthesized
                 // on that graph and the others kept verbatim.
+                let f = &ranked[chosen.rank].1;
                 let step = DecomposeStep {
                     signal: name.clone(),
                     divisor: format!("{}", f.display_with(|v| sg.signals()[v].name.clone())),
                     target: sg.event_name(*target_event),
-                    excess: (excess_now, excess_after),
+                    excess: (excess_now, chosen.excess),
                 };
                 observer.on_decompose_step(&step);
                 steps.push(step);
-                current = Some(candidate_sg);
-                mc = candidate_mc;
+                current = Some(chosen.sg);
+                mc = chosen.mc;
                 inserted.push(name);
                 continue 'insertions;
             }
@@ -269,6 +282,80 @@ pub(crate) fn decompose_from(
     DecomposeResult { sg, mc, inserted, implementable, steps }
 }
 
+/// One round of the loop: one target, the graph and covers it starts from.
+struct Round<'a> {
+    sg: &'a StateGraph,
+    mc: &'a McImpl,
+    target: SignalId,
+    /// Name of the signal the round inserts.
+    name: &'a str,
+    /// Excess of `mc`; a candidate must end strictly below it.
+    excess_now: usize,
+    config: &'a DecomposeConfig,
+}
+
+/// The candidate a round commits.
+struct Chosen {
+    /// Its index in the ranked candidate list.
+    rank: usize,
+    /// Its excess after resynthesis.
+    excess: usize,
+    /// The graph with its signal inserted.
+    sg: StateGraph,
+    /// The covers its resynthesis built on `sg`.
+    mc: McImpl,
+}
+
+impl Round<'_> {
+    /// The round's graph with the candidate's signal inserted (Fig. 3).
+    /// Deterministic: the same insertion always builds the same graph.
+    fn insert(&self, ins: &Insertion) -> Option<StateGraph> {
+        insert_signal(self.sg, ins, self.name, SignalKind::Internal).ok()
+    }
+
+    /// Resynthesizes the covers `candidate_sg` affects and returns
+    /// `(excess, area, covers)`. `None` when the excess reaches `bound`,
+    /// a resynthesis fails, or, under [`AckMode::Local`], another signal's
+    /// cover acknowledges the new one.
+    fn cost(&self, candidate_sg: &StateGraph, bound: usize) -> Option<(usize, usize, McImpl)> {
+        let limit = self.config.literal_limit;
+        let (mc, excess) = resynthesize_affected(candidate_sg, self.mc, self.target, limit, bound)?;
+        if self.config.ack_mode == AckMode::Local {
+            let x = SignalId(candidate_sg.signal_count() - 1);
+            if !locally_acknowledged(&mc, self.target, x) {
+                return None;
+            }
+        }
+        let area = crate::flow::si_cost(&mc, limit.max(2)).area();
+        Some((excess, area, mc))
+    }
+}
+
+/// Picks the candidate to commit: the minimum of `(excess, area, rank)`
+/// over the candidates whose graph passes every property check and whose
+/// covers strictly lower the excess, by the evaluate, bound, sort and
+/// lazy-check steps of the module doc. A survivor keeps its covers but
+/// not its graph, which is rebuilt for the check: keeping every
+/// survivor's graph alive until then raised the peak memory of a Table 1
+/// run by a quarter (7.3 to 9.1 MB). Resynthesis thus also runs on graphs
+/// that fail the check; it then fails or builds covers that are dropped.
+fn select(round: &Round<'_>, ranked: &[(i64, Cover, Insertion)]) -> Option<Chosen> {
+    let mut survivors: Vec<(usize, usize, usize, McImpl)> = ranked
+        .iter()
+        .enumerate()
+        .filter_map(|(rank, (_, _, ins))| {
+            let candidate_sg = round.insert(ins)?;
+            let (excess, area, mc) = round.cost(&candidate_sg, round.excess_now)?;
+            Some((excess, area, rank, mc))
+        })
+        .collect();
+    survivors.sort_unstable_by_key(|&(excess, area, rank, _)| (excess, area, rank));
+    survivors.into_iter().find_map(|(excess, _, rank, mc)| {
+        let sg = round.insert(&ranked[rank].2).expect("the insertion succeeded when evaluated");
+        check_all(&sg).is_ok().then_some(Chosen { rank, excess, sg, mc })
+    })
+}
+
 /// Rebuilds an implementation for `candidate_sg` (which is `mc`'s graph
 /// plus one inserted signal) by resynthesizing only the signals the
 /// insertion can affect: the decomposition target, the new signal itself,
@@ -277,11 +364,20 @@ pub(crate) fn decompose_from(
 /// category). All other covers mention neither `x` nor any state whose
 /// region classification moved, so they stay valid verbatim. This is the
 /// loop's only resynthesis: a committed candidate keeps these covers.
+///
+/// Returns the covers with their excess at `limit`, or `None` when a
+/// resynthesis fails or the excess reaches `bound`. Excess is a sum of
+/// non-negative gate terms, so the sum is taken in the order that stops
+/// soonest: the kept covers (free), the target, the delayed-exit owners
+/// and `x` last, and the rest is skipped once the partial sum reaches
+/// `bound`.
 fn resynthesize_affected(
     candidate_sg: &StateGraph,
     mc: &McImpl,
     target: SignalId,
-) -> Result<McImpl, McError> {
+    limit: usize,
+    bound: usize,
+) -> Option<(McImpl, usize)> {
     let x = SignalId(candidate_sg.signal_count() - 1);
     let mut affected = vec![false; candidate_sg.signal_count()];
     affected[target.0] = true;
@@ -301,21 +397,31 @@ fn resynthesize_affected(
         }
     }
 
+    let signals = candidate_sg.implementable_signals();
+    let kept = |signal: SignalId| {
+        mc.signal_impl(signal).expect("unaffected signal existed before the insertion")
+    };
+    let mut total: usize =
+        signals.iter().filter(|s| !affected[s.0]).map(|&s| signal_excess(kept(s), limit)).sum();
+    let owners = signals.iter().copied().filter(|&s| affected[s.0] && s != target && s != x);
     let universe = candidate_sg.reachable_codes();
-    let signals = candidate_sg
-        .implementable_signals()
+    let mut fresh: Vec<Option<SignalImpl>> = vec![None; candidate_sg.signal_count()];
+    for signal in std::iter::once(target).chain(owners).chain(std::iter::once(x)) {
+        if total >= bound {
+            return None;
+        }
+        let synthesized = synthesize_signal_in(candidate_sg, &universe, signal).ok()?;
+        total += signal_excess(&synthesized, limit);
+        fresh[signal.0] = Some(synthesized);
+    }
+    if total >= bound {
+        return None;
+    }
+    let signals = signals
         .into_iter()
-        .map(|signal| {
-            if affected[signal.0] {
-                synthesize_signal_in(candidate_sg, &universe, signal)
-            } else {
-                let previous =
-                    mc.signal_impl(signal).expect("unaffected signal existed before the insertion");
-                Ok(previous.clone())
-            }
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(McImpl { signals })
+        .map(|signal| fresh[signal.0].take().unwrap_or_else(|| kept(signal).clone()))
+        .collect();
+    Some((McImpl { signals }, total))
 }
 
 /// The boolean refinement of a divisor against its target: the bipartition
@@ -470,15 +576,25 @@ mod tests {
     /// must never be costlier than recomputing it there: no signal may cost
     /// more than in a full resynthesis of the final graph. Its standard-C
     /// circuit must verify speed-independent, as the paper claims of all
-    /// its implementations. Release builds check every embedded circuit at
+    /// its implementations. The loop must also commit exactly what the
+    /// eager reference selection commits: the same steps, signals and
+    /// covers. Release builds check every embedded circuit at
     /// limits 2–4 and the first 240 nets of the `simap gen` corpus for
     /// seed 0; debug builds the circuits of at most 400 states at limits 2
     /// and 3.
     #[test]
     fn committed_covers_validate_and_beat_full_resynthesis() {
         let check = |name: &str, sg: &StateGraph, limit: usize| {
-            let result = decompose(sg, &DecomposeConfig::with_limit(limit))
-                .unwrap_or_else(|e| panic!("{name} at {limit}: {e}"));
+            let config = DecomposeConfig::with_limit(limit);
+            let result =
+                decompose(sg, &config).unwrap_or_else(|e| panic!("{name} at {limit}: {e}"));
+            let mc = synthesize_mc(sg).expect("the input has CSC");
+            let eager = decompose_loop(sg.clone(), mc, &config, &mut NullObserver, select_eager);
+            assert_eq!(
+                format!("{:?}", (&result.steps, &result.inserted, &result.mc)),
+                format!("{:?}", (&eager.steps, &eager.inserted, &eager.mc)),
+                "{name} at {limit}: the lazy selection differs from the eager one"
+            );
             let complaints = crate::mc::validate_mc(&result.sg, &result.mc);
             assert!(complaints.is_empty(), "{name} at {limit}: {complaints:?}");
             let full = synthesize_mc(&result.sg).expect("the result keeps CSC");
@@ -520,6 +636,108 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The eager reference selection: every candidate is inserted and
+    /// checked with `check_all` before its resynthesis, which runs in full
+    /// (no excess bound); the lowest `(excess, area)` among the candidates
+    /// that strictly lower the excess wins, ties going to the earlier rank.
+    fn select_eager(round: &Round<'_>, ranked: &[(i64, Cover, Insertion)]) -> Option<Chosen> {
+        let mut best: Option<(usize, Chosen)> = None;
+        for (rank, (_, _, ins)) in ranked.iter().enumerate() {
+            let Some(sg) = round.insert(ins) else { continue };
+            if !check_all(&sg).is_ok() {
+                continue;
+            }
+            let Some((excess, area, mc)) = round.cost(&sg, usize::MAX) else { continue };
+            if excess >= round.excess_now {
+                continue;
+            }
+            if best.as_ref().is_none_or(|(a, c)| (excess, area) < (c.excess, *a)) {
+                best = Some((area, Chosen { rank, excess, sg, mc }));
+            }
+        }
+        best.map(|(_, chosen)| chosen)
+    }
+
+    /// The excess bound rejects exactly the candidates whose excess reaches
+    /// it: one above a candidate's excess, the bounded resynthesis returns
+    /// what the unbounded one does, and at that excess it returns nothing.
+    #[test]
+    fn excess_bound_rejects_exactly_at_the_bound() {
+        let mut checked = 0;
+        for k in [3, 4] {
+            let sg = celement_sg(k);
+            let mc = synthesize_mc(&sg).unwrap();
+            let config = DecomposeConfig::with_limit(2);
+            for (target, _, cover, _) in mc.gates_over(2) {
+                let excess_now = excess(&mc, 2);
+                let round =
+                    Round { sg: &sg, mc: &mc, target, name: "x0", excess_now, config: &config };
+                for f in generate_divisors(&cover, &config.divisors) {
+                    let Ok(ins) = compute_insertion(&sg, &f) else { continue };
+                    let Some(candidate_sg) = round.insert(&ins) else { continue };
+                    let Some(full) = round.cost(&candidate_sg, usize::MAX) else { continue };
+                    let e = full.0;
+                    assert_eq!(e, excess(&full.2, 2));
+                    let bounded = round.cost(&candidate_sg, e + 1);
+                    assert_eq!(format!("{bounded:?}"), format!("{:?}", Some(full)));
+                    assert!(round.cost(&candidate_sg, e).is_none());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    /// With the property check lazy, resynthesis also runs on graphs that
+    /// fail it. Editing one excitation region of a legal insertion into the
+    /// paper's running example by one state (dropping a state, or adding
+    /// one of its block) breaks output persistency in some of the graphs
+    /// that still build. On each of them the resynthesis must return, and
+    /// a selection that accepts any excess, so that the candidate survives
+    /// to the lazy check, must not pick it.
+    #[test]
+    fn candidates_failing_the_property_check_are_never_selected() {
+        let stg = simap_stg::benchmark("hazard").expect("known benchmark");
+        let sg = simap_stg::elaborate(&stg).expect("benchmark elaborates");
+        let mc = synthesize_mc(&sg).unwrap();
+        let config = DecomposeConfig::with_limit(2);
+        let (target, ..) = mc.gates_over(2)[0];
+        let round =
+            Round { sg: &sg, mc: &mc, target, name: "x0", excess_now: usize::MAX, config: &config };
+        let n = sg.state_count();
+        let (mut failing, mut survived) = (0, 0);
+        for mask in 1..(1u32 << n) - 1 {
+            let block = (0..n).filter(|i| mask >> i & 1 == 1).map(simap_sg::StateId);
+            let s1 = simap_sg::StateSet::from_states(n, block);
+            let Ok(ins) = crate::insertion::compute_insertion_from_block(&sg, s1) else { continue };
+            let mut edits = Vec::new();
+            for rising in [true, false] {
+                for s in if rising { ins.s1.iter() } else { ins.s0.iter() } {
+                    let mut edited = ins.clone();
+                    let region = if rising { &mut edited.er_plus } else { &mut edited.er_minus };
+                    if !region.remove(s) {
+                        region.insert(s);
+                    }
+                    edits.push(edited);
+                }
+            }
+            for edited in edits {
+                let Some(candidate_sg) = round.insert(&edited) else { continue };
+                if check_all(&candidate_sg).is_ok() {
+                    continue;
+                }
+                failing += 1;
+                if round.cost(&candidate_sg, usize::MAX).is_some() {
+                    survived += 1;
+                }
+                let ranked = [(0, Cover::zero(), edited)];
+                assert!(select(&round, &ranked).is_none());
+                assert!(select_eager(&round, &ranked).is_none());
+            }
+        }
+        assert!(survived > 0, "{failing} graphs fail check_all, none survives resynthesis");
     }
 
     #[test]

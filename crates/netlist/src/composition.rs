@@ -141,8 +141,8 @@ impl<'a> Composition<'a> {
     }
 
     /// Fills `out` with every enabled move of the composition: the
-    /// specification's input events first, then the excited gates in
-    /// gate order.
+    /// specification's input events first, then the `excited` gates (as
+    /// [`Composition::excited_gates`] lists them for `vals`) in gate order.
     ///
     /// # Errors
     /// [`VerifyError::UnexpectedOutput`] when an excited gate would fire an
@@ -151,6 +151,7 @@ impl<'a> Composition<'a> {
         &self,
         spec: StateId,
         vals: &NetValues,
+        excited: &[usize],
         out: &mut Vec<Move>,
     ) -> Result<(), VerifyError> {
         out.clear();
@@ -167,10 +168,8 @@ impl<'a> Composition<'a> {
             });
         }
         // Circuit moves.
-        for (gi, g) in self.circuit.gates().iter().enumerate() {
-            if !self.excited(vals, g) {
-                continue;
-            }
+        for &gi in excited {
+            let g = &self.circuit.gates()[gi];
             let (event, spec_next) = match self.net_signal[g.output.0] {
                 Some(sig) => {
                     let ev = Event { signal: simap_sg::SignalId(sig), rising: !vals.get(g.output) };

@@ -84,7 +84,7 @@ pub fn simulate(
         vals.clone_from(&init);
         for _ in 0..config.steps {
             comp.excited_gates(&vals, &mut excited);
-            comp.moves(spec, &vals, &mut moves)?;
+            comp.moves(spec, &vals, &excited, &mut moves)?;
             if moves.is_empty() {
                 if !sg.succ(spec).is_empty() {
                     return Err(VerifyError::Deadlock { spec_state: spec.0 });

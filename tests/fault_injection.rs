@@ -44,7 +44,7 @@ fn oracle(
         let (spec, vals) = queue[head].clone();
         head += 1;
         comp.excited_gates(&vals, &mut excited);
-        comp.moves(spec, &vals, &mut moves)?;
+        comp.moves(spec, &vals, &excited, &mut moves)?;
         if moves.is_empty() {
             if !sg.succ(spec).is_empty() {
                 return Err(VerifyError::Deadlock { spec_state: spec.0 });
