@@ -210,25 +210,31 @@ pub fn check_output_persistency(sg: &StateGraph) -> Vec<PropertyViolation> {
 }
 
 /// Checks Complete State Coding: states with equal codes enable the same
-/// set of non-input events.
+/// set of non-input events. Each code's states are compared with the
+/// first of them, and the conflicts come in state order: by `a`, then `b`.
+///
+/// The states are grouped by sorting one flat `(code, state)` list. A map
+/// of per-code state lists would cost one small allocation per code and
+/// free them in hash order, which moves the heap's layout, and with it
+/// the peak resident set, from one process to the next.
 pub fn check_csc(sg: &StateGraph) -> Vec<PropertyViolation> {
-    let mut by_code: HashMap<u64, Vec<StateId>> = HashMap::new();
-    for s in sg.states() {
-        by_code.entry(sg.code(s)).or_default().push(s);
-    }
-    let mut out = Vec::new();
-    for (code, states) in by_code {
-        if states.len() < 2 {
-            continue;
-        }
-        let reference = sg.enabled_non_input_events(states[0]);
-        for &s in &states[1..] {
+    let mut by_code: Vec<(u64, StateId)> = sg.states().map(|s| (sg.code(s), s)).collect();
+    by_code.sort_unstable();
+    let mut conflicts = Vec::new();
+    for group in by_code.chunk_by(|x, y| x.0 == y.0).filter(|g| g.len() > 1) {
+        let (code, first) = group[0];
+        let reference = sg.enabled_non_input_events(first);
+        for &(_, s) in &group[1..] {
             if sg.enabled_non_input_events(s) != reference {
-                out.push(PropertyViolation::CscConflict { a: states[0], b: s, code });
+                conflicts.push((first, s, code));
             }
         }
     }
-    out
+    conflicts.sort_unstable();
+    conflicts
+        .into_iter()
+        .map(|(a, b, code)| PropertyViolation::CscConflict { a, b, code })
+        .collect()
 }
 
 /// Checks that every state is reachable from the initial state.
@@ -410,6 +416,32 @@ mod tests {
         let v = check_csc(&g);
         assert_eq!(v.len(), 1);
         assert!(matches!(v[0], PropertyViolation::CscConflict { code: 0, .. }));
+    }
+
+    #[test]
+    fn csc_conflicts_come_in_state_order() {
+        // s0/s2 share code 0b10 and s1/s3 share code 0b00; in each pair
+        // only one state enables an output. The lower code's pair comes
+        // second because its first state does.
+        let mut b = StateGraphBuilder::new(
+            "csc2",
+            vec![sig("a", SignalKind::Input), sig("b", SignalKind::Output)],
+        )
+        .unwrap();
+        let s = [b.add_state(0b10), b.add_state(0b00), b.add_state(0b10), b.add_state(0b00)];
+        let (a, bb) = (SignalId(0), SignalId(1));
+        b.add_arc(s[0], Event::fall(bb), s[1]);
+        b.add_arc(s[1], Event::rise(a), s[2]);
+        b.add_arc(s[2], Event::rise(a), s[3]);
+        b.add_arc(s[3], Event::rise(bb), s[0]);
+        let g = b.build(s[0]).unwrap();
+        assert_eq!(
+            check_csc(&g),
+            vec![
+                PropertyViolation::CscConflict { a: s[0], b: s[2], code: 0b10 },
+                PropertyViolation::CscConflict { a: s[1], b: s[3], code: 0b00 },
+            ]
+        );
     }
 
     #[test]
