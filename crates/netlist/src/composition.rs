@@ -202,10 +202,11 @@ impl<'a> Composition<'a> {
 
     /// Semi-modularity check for one move: every excited gate other than
     /// the firing one must stay excited in `vals_next`, the valuation
-    /// after `mv`.
+    /// after `mv`. Only `mv.net` toggles, so a gate that neither reads
+    /// nor drives it is still excited and is not evaluated again.
     ///
     /// # Errors
-    /// [`VerifyError::Disabled`] naming the hazard.
+    /// [`VerifyError::Disabled`] naming the first disabled gate.
     pub fn check_semi_modularity(
         &self,
         excited_before: &[usize],
@@ -213,12 +214,14 @@ impl<'a> Composition<'a> {
         mv: &Move,
     ) -> Result<(), VerifyError> {
         for &gi in excited_before {
-            if Some(gi) == mv.fired_gate {
+            let gate = &self.circuit.gates()[gi];
+            if Some(gi) == mv.fired_gate || (gate.output != mv.net && !gate.fanin.contains(&mv.net))
+            {
                 continue;
             }
-            if !self.excited(vals_next, &self.circuit.gates()[gi]) {
+            if !self.excited(vals_next, gate) {
                 return Err(VerifyError::Disabled {
-                    gate: self.circuit.gates()[gi].name.clone(),
+                    gate: gate.name.clone(),
                     by: self.describe(mv),
                 });
             }

@@ -418,12 +418,16 @@ impl StateGraph {
         self.codes[s.0] >> signal.0 & 1 == 1
     }
 
-    /// Outgoing arcs of `s`.
+    /// Outgoing arcs of `s`, sorted by `(Event, StateId)` and free of
+    /// duplicates, whichever constructor built the graph. Arcs with one
+    /// event are therefore adjacent, and the first of them has the
+    /// smallest target; the property checks merge these slices.
     pub fn succ(&self, s: StateId) -> &[(Event, StateId)] {
         &self.succ_arcs[self.succ_off[s.0]..self.succ_off[s.0 + 1]]
     }
 
-    /// Incoming arcs of `s`.
+    /// Incoming arcs of `s` as `(event, source)`, sorted by
+    /// `(Event, StateId)` and free of duplicates, like [`Self::succ`].
     pub fn pred(&self, s: StateId) -> &[(Event, StateId)] {
         &self.pred_arcs[self.pred_off[s.0]..self.pred_off[s.0 + 1]]
     }
@@ -660,6 +664,87 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, BuildSgError::UngroupedArcs);
+    }
+
+    /// Every constructor yields the documented arc order: successor and
+    /// predecessor slices sorted by `(Event, StateId)` and deduplicated,
+    /// however the arcs were fed in.
+    #[test]
+    fn constructors_sort_and_deduplicate_arcs() {
+        let signals: Vec<Signal> =
+            (0..3).map(|i| Signal::new(format!("x{i}"), SignalKind::Output)).collect();
+        let codes: Vec<u64> = (0..8).collect();
+        // Every single-bit toggle, plus a few extra arcs that reuse an
+        // event towards another target (sorted after the consistent one
+        // or before it).
+        let mut arcs: Vec<(StateId, Event, StateId)> = Vec::new();
+        for s in 0..8usize {
+            for i in 0..3 {
+                let rising = s >> i & 1 == 0;
+                arcs.push((StateId(s), Event { signal: SignalId(i), rising }, StateId(s ^ 1 << i)));
+            }
+            arcs.push((StateId(s), Event::rise(SignalId(s % 3)), StateId(7 - s)));
+        }
+        // Shuffle deterministically and duplicate every third arc.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut fed = arcs.clone();
+        fed.extend(arcs.iter().step_by(3).copied());
+        for i in (1..fed.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            fed.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+
+        let mut b = StateGraphBuilder::new("order", signals.clone()).unwrap();
+        b.add_states(codes.iter().copied());
+        for &(src, e, dst) in &fed {
+            b.add_arc(src, e, dst);
+        }
+        let built = b.build(StateId(0)).unwrap();
+
+        let mut grouped = fed.clone();
+        grouped.sort_by_key(|arc| arc.0);
+        let from_grouped = StateGraph::from_grouped_arcs(
+            "order",
+            signals.clone(),
+            codes.clone(),
+            StateId(0),
+            grouped,
+        )
+        .unwrap();
+
+        let mut succ_off = vec![0usize; codes.len() + 1];
+        for &(src, _, _) in &fed {
+            succ_off[src.0 + 1] += 1;
+        }
+        for i in 0..codes.len() {
+            succ_off[i + 1] += succ_off[i];
+        }
+        let mut cursor = succ_off.clone();
+        let mut flat = vec![(Event::rise(SignalId(0)), StateId(0)); fed.len()];
+        for &(src, e, dst) in &fed {
+            flat[cursor[src.0]] = (e, dst);
+            cursor[src.0] += 1;
+        }
+        let from_csr =
+            StateGraph::from_csr_parts("order", signals, codes, StateId(0), succ_off, flat)
+                .unwrap();
+
+        assert_eq!(built.arc_count(), arcs.len());
+        for s in built.states() {
+            for slice in [built.succ(s), built.pred(s)] {
+                assert!(slice.windows(2).all(|w| w[0] < w[1]), "state {s:?}: {slice:?}");
+            }
+            let mut expected: Vec<(Event, StateId)> =
+                arcs.iter().filter(|a| a.0 == s).map(|&(_, e, t)| (e, t)).collect();
+            expected.sort_unstable();
+            assert_eq!(built.succ(s), &expected[..]);
+            for g in [&from_grouped, &from_csr] {
+                assert_eq!(g.succ(s), built.succ(s));
+                assert_eq!(g.pred(s), built.pred(s));
+            }
+        }
     }
 
     #[test]

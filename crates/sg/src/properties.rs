@@ -1,10 +1,25 @@
 //! Implementability properties of state graphs (§2.1): consistency,
 //! determinism, commutativity, output persistency and Complete State
 //! Coding.
+//!
+//! Every check is one linear pass over the states. Determinism,
+//! commutativity and the persistency screen allocate nothing per state;
+//! they rely on the arc order of [`StateGraph::succ`]: each slice is
+//! sorted by `(Event, StateId)` and deduplicated.
+//! * Determinism compares neighbouring arcs of a slice.
+//! * Commutativity merges the slice of each successor with the state's
+//!   own slice, both sorted by event, into one reused table of targets.
+//! * Output persistency screens each state with two signal masks, the
+//!   rising and the falling implementable events it enables. Only a state
+//!   that fails the screen runs the exact loop, which names its violations
+//!   in order; a persistent graph never runs it.
+//!
+//! The unit tests keep the straightforward bodies as oracles and compare
+//! them, order included, on random violating graphs and on the embedded
+//! circuits.
 
 use crate::graph::{StateGraph, StateId};
 use crate::signal::Event;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A violation of one of the SG properties, with enough context to debug a
@@ -140,18 +155,16 @@ pub fn check_consistency(sg: &StateGraph) -> Vec<PropertyViolation> {
     out
 }
 
-/// Checks determinism: at most one target per (state, event).
+/// Checks determinism: at most one target per (state, event). Arcs with
+/// the same event are adjacent in the sorted, deduplicated successor
+/// slice, so every arc that shares its predecessor's event is a second
+/// target of it.
 pub fn check_determinism(sg: &StateGraph) -> Vec<PropertyViolation> {
     let mut out = Vec::new();
     for s in sg.states() {
-        let mut seen: HashMap<Event, StateId> = HashMap::new();
-        for &(e, t) in sg.succ(s) {
-            if let Some(&prev) = seen.get(&e) {
-                if prev != t {
-                    out.push(PropertyViolation::NonDeterministic { state: s, event: e });
-                }
-            } else {
-                seen.insert(e, t);
+        for w in sg.succ(s).windows(2) {
+            if w[0].0 == w[1].0 {
+                out.push(PropertyViolation::NonDeterministic { state: s, event: w[1].0 });
             }
         }
     }
@@ -160,18 +173,37 @@ pub fn check_determinism(sg: &StateGraph) -> Vec<PropertyViolation> {
 
 /// Checks commutativity: if `a` then `b` and `b` then `a` are both
 /// executable from a state, they must reach the same state.
+///
+/// For a state with arcs `(e_0, t_0) .. (e_{d-1}, t_{d-1})` one reused
+/// `d×d` table holds `fire(t_i, e_j)` at `(i, j)`. Row `i` is one merge of
+/// `succ(t_i)` with `succ(s)`, both sorted by event; the merge keeps the
+/// first arc of each event, as [`StateGraph::fire`] does.
 pub fn check_commutativity(sg: &StateGraph) -> Vec<PropertyViolation> {
     let mut out = Vec::new();
+    let mut table: Vec<Option<StateId>> = Vec::new();
     for s in sg.states() {
         let succ = sg.succ(s);
-        for (i, &(a, sa)) in succ.iter().enumerate() {
-            for &(b, sb) in &succ[i + 1..] {
+        let d = succ.len();
+        if d < 2 {
+            continue;
+        }
+        table.clear();
+        for &(_, t) in succ {
+            let next = sg.succ(t);
+            let mut k = 0;
+            for &(e, _) in succ {
+                while k < next.len() && next[k].0 < e {
+                    k += 1;
+                }
+                table.push(next.get(k).filter(|arc| arc.0 == e).map(|arc| arc.1));
+            }
+        }
+        for (i, &(a, _)) in succ.iter().enumerate() {
+            for (j, &(b, _)) in succ.iter().enumerate().skip(i + 1) {
                 if a == b {
                     continue;
                 }
-                let ab = sg.fire(sa, b);
-                let ba = sg.fire(sb, a);
-                if let (Some(t1), Some(t2)) = (ab, ba) {
+                if let (Some(t1), Some(t2)) = (table[i * d + j], table[j * d + i]) {
                     if t1 != t2 {
                         out.push(PropertyViolation::NonCommutative {
                             state: s,
@@ -186,27 +218,65 @@ pub fn check_commutativity(sg: &StateGraph) -> Vec<PropertyViolation> {
     out
 }
 
+/// The implementable events enabled at `s` as two signal masks: rising
+/// and falling.
+fn enabled_masks(sg: &StateGraph, implementable: u64, s: StateId) -> (u64, u64) {
+    let (mut rising, mut falling) = (0u64, 0u64);
+    for &(e, _) in sg.succ(s) {
+        let bit = (1u64 << e.signal.0) & implementable;
+        if e.rising {
+            rising |= bit;
+        } else {
+            falling |= bit;
+        }
+    }
+    (rising, falling)
+}
+
 /// Checks output persistency: an enabled non-input event stays enabled
 /// after any *other* event fires (one-step check suffices by induction).
+///
+/// Each state is first screened with its `enabled_masks`: it is
+/// persistent iff every arc `(other, t)` keeps the enabled implementable
+/// events of the other signals enabled at `t`. Only the states that fail
+/// the screen run the exact loop, which names each violation in order.
 pub fn check_output_persistency(sg: &StateGraph) -> Vec<PropertyViolation> {
+    let implementable = sg.implementable_signals().iter().fold(0u64, |m, a| m | (1 << a.0));
     let mut out = Vec::new();
     for s in sg.states() {
-        for e in sg.enabled_non_input_events(s) {
-            for &(other, t) in sg.succ(s) {
-                if other == e || other.signal == e.signal {
-                    continue;
-                }
-                if !sg.enabled(t, e) {
-                    out.push(PropertyViolation::NonPersistent {
-                        state: s,
-                        event: e,
-                        disabled_by: other,
-                    });
-                }
-            }
+        let (rising, falling) = enabled_masks(sg, implementable, s);
+        if rising | falling == 0 {
+            continue;
+        }
+        let persistent = sg.succ(s).iter().all(|&(other, t)| {
+            let keep = !(1u64 << other.signal.0);
+            let (rising_t, falling_t) = enabled_masks(sg, implementable, t);
+            rising & keep & !rising_t == 0 && falling & keep & !falling_t == 0
+        });
+        if !persistent {
+            persistency_violations_at(sg, s, &mut out);
         }
     }
     out
+}
+
+/// The exact persistency loop at one state: every enabled non-input event
+/// (in event order) against every arc of another signal.
+fn persistency_violations_at(sg: &StateGraph, s: StateId, out: &mut Vec<PropertyViolation>) {
+    for e in sg.enabled_non_input_events(s) {
+        for &(other, t) in sg.succ(s) {
+            if other == e || other.signal == e.signal {
+                continue;
+            }
+            if !sg.enabled(t, e) {
+                out.push(PropertyViolation::NonPersistent {
+                    state: s,
+                    event: e,
+                    disabled_by: other,
+                });
+            }
+        }
+    }
 }
 
 /// Checks Complete State Coding: states with equal codes enable the same
@@ -274,6 +344,231 @@ mod tests {
     use super::*;
     use crate::graph::StateGraphBuilder;
     use crate::signal::{Signal, SignalId, SignalKind};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use std::collections::HashMap;
+
+    /// Oracle of [`check_determinism`]: a map from event to first target
+    /// per state.
+    fn check_determinism_oracle(sg: &StateGraph) -> Vec<PropertyViolation> {
+        let mut out = Vec::new();
+        for s in sg.states() {
+            let mut seen: HashMap<Event, StateId> = HashMap::new();
+            for &(e, t) in sg.succ(s) {
+                if let Some(&prev) = seen.get(&e) {
+                    if prev != t {
+                        out.push(PropertyViolation::NonDeterministic { state: s, event: e });
+                    }
+                } else {
+                    seen.insert(e, t);
+                }
+            }
+        }
+        out
+    }
+
+    /// Oracle of [`check_commutativity`]: two [`StateGraph::fire`] scans
+    /// per pair of arcs.
+    fn check_commutativity_oracle(sg: &StateGraph) -> Vec<PropertyViolation> {
+        let mut out = Vec::new();
+        for s in sg.states() {
+            let succ = sg.succ(s);
+            for (i, &(a, sa)) in succ.iter().enumerate() {
+                for &(b, sb) in &succ[i + 1..] {
+                    if a == b {
+                        continue;
+                    }
+                    let ab = sg.fire(sa, b);
+                    let ba = sg.fire(sb, a);
+                    if let (Some(t1), Some(t2)) = (ab, ba) {
+                        if t1 != t2 {
+                            out.push(PropertyViolation::NonCommutative {
+                                state: s,
+                                first: a,
+                                second: b,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Oracle of [`check_output_persistency`]: the exact loop at every
+    /// state, with no screen.
+    fn check_output_persistency_oracle(sg: &StateGraph) -> Vec<PropertyViolation> {
+        let mut out = Vec::new();
+        for s in sg.states() {
+            for e in sg.enabled_non_input_events(s) {
+                for &(other, t) in sg.succ(s) {
+                    if other == e || other.signal == e.signal {
+                        continue;
+                    }
+                    if !sg.enabled(t, e) {
+                        out.push(PropertyViolation::NonPersistent {
+                            state: s,
+                            event: e,
+                            disabled_by: other,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Asserts that every rewritten check, and [`check_all`], returns the
+    /// oracle's violations in the oracle's order.
+    fn assert_matches_oracles(sg: &StateGraph) {
+        let name = sg.name();
+        let determinism = check_determinism_oracle(sg);
+        let commutativity = check_commutativity_oracle(sg);
+        let persistency = check_output_persistency_oracle(sg);
+        assert_eq!(check_determinism(sg), determinism, "{name}: determinism");
+        assert_eq!(check_commutativity(sg), commutativity, "{name}: commutativity");
+        assert_eq!(check_output_persistency(sg), persistency, "{name}: persistency");
+        let mut all = check_consistency(sg);
+        all.extend(determinism);
+        all.extend(commutativity);
+        all.extend(persistency);
+        all.extend(check_csc(sg));
+        all.extend(check_reachability(sg));
+        assert_eq!(check_all(sg).violations, all, "{name}: check_all");
+    }
+
+    /// A small random graph rich in violations. It starts from a partial
+    /// hypercube of consistent arcs over 1-4 signals of random kinds,
+    /// which leaves outputs disabled, adds states that repeat a code, and
+    /// then random arcs: inconsistent ones, second targets of an event,
+    /// diamonds that do not reconverge, often several at one state.
+    fn random_graph(seed: u64) -> StateGraph {
+        let mut rng = TestRng::for_case("random_graph", seed);
+        let nsig = rng.in_range(1, 5) as usize;
+        let kinds = [SignalKind::Input, SignalKind::Output, SignalKind::Internal];
+        let signals = (0..nsig)
+            .map(|i| Signal::new(format!("x{i}"), kinds[rng.in_range(0, 3) as usize]))
+            .collect();
+        let mut b = StateGraphBuilder::new(format!("random{seed}"), signals).unwrap();
+        let cube = 1u64 << nsig;
+        let mut codes: Vec<u64> = (0..cube).collect();
+        codes.extend((0..rng.in_range(0, 4)).map(|_| rng.in_range(0, cube)));
+        b.add_states(codes.iter().copied());
+        let n = codes.len() as u64;
+        let keep = rng.in_range(2, 5);
+        for (s, &code) in codes.iter().enumerate() {
+            for i in 0..nsig {
+                if rng.in_range(0, 4) < keep {
+                    let event = Event { signal: SignalId(i), rising: code >> i & 1 == 0 };
+                    b.add_arc(StateId(s), event, StateId((code ^ 1 << i) as usize));
+                }
+            }
+        }
+        for _ in 0..rng.in_range(0, 2 * n) {
+            let src = StateId(rng.in_range(0, n) as usize);
+            let event = Event {
+                signal: SignalId(rng.in_range(0, nsig as u64) as usize),
+                rising: rng.in_range(0, 2) == 0,
+            };
+            b.add_arc(src, event, StateId(rng.in_range(0, n) as usize));
+        }
+        b.build(StateId(0)).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The linear checks equal their oracles, order included, on
+        /// small graphs full of violations.
+        #[test]
+        fn linear_checks_match_oracles_on_random_graphs(seed in 0u64..u64::MAX) {
+            assert_matches_oracles(&random_graph(seed));
+        }
+    }
+
+    /// The random graphs hold every kind of violation the rewritten
+    /// checks report, clean states and states with several violations,
+    /// so the property above exercises every branch.
+    #[test]
+    fn random_graphs_hold_every_violation_kind() {
+        let (mut nd, mut nc, mut np, mut clean, mut crowded) = (0, 0, 0, 0, 0);
+        for seed in 0..512 {
+            let g = random_graph(seed);
+            let d = check_determinism(&g).len();
+            let c = check_commutativity(&g).len();
+            let p = check_output_persistency(&g);
+            (nd, nc, np) = (nd + d, nc + c, np + p.len());
+            clean += usize::from(d + c + p.len() == 0);
+            crowded += usize::from(p.windows(2).any(|w| match (&w[0], &w[1]) {
+                (
+                    PropertyViolation::NonPersistent { state: a, .. },
+                    PropertyViolation::NonPersistent { state: b, .. },
+                ) => a == b,
+                _ => false,
+            }));
+        }
+        assert!(nd > 0 && nc > 0 && np > 0, "{nd} {nc} {np}");
+        assert!(clean > 0 && crowded > 0, "{clean} {crowded}");
+    }
+
+    /// Rebuilds a graph elaborated by `simap_stg` in this crate's types
+    /// (`simap_stg` links the library build of this crate, a distinct
+    /// crate from this test build). With `all_outputs`, every signal
+    /// becomes an output, which turns input choices into persistency
+    /// violations.
+    fn elaborated(net: &simap_stg::Stg, all_outputs: bool) -> StateGraph {
+        let g = simap_stg::elaborate(net).unwrap_or_else(|e| panic!("{}: {e}", net.name()));
+        let signals = g
+            .signals()
+            .iter()
+            .map(|s| {
+                let kind = match format!("{:?}", s.kind).as_str() {
+                    _ if all_outputs => SignalKind::Output,
+                    "Input" => SignalKind::Input,
+                    "Output" => SignalKind::Output,
+                    _ => SignalKind::Internal,
+                };
+                Signal::new(s.name.clone(), kind)
+            })
+            .collect();
+        let codes = g.states().map(|s| g.code(s)).collect();
+        let arcs = g.states().flat_map(|s| {
+            g.succ(s).iter().map(move |&(e, t)| {
+                let event = Event { signal: SignalId(e.signal.0), rising: e.rising };
+                (StateId(s.0), event, StateId(t.0))
+            })
+        });
+        let initial = StateId(g.initial().0);
+        let name = format!("{}{}", g.name(), if all_outputs { "/outputs" } else { "" });
+        StateGraph::from_grouped_arcs(name, signals, codes, initial, arcs).unwrap()
+    }
+
+    /// The linear checks equal their oracles on every embedded circuit,
+    /// the `simap gen --seed 0` corpus and a 65,536-state product, each
+    /// also with every signal made an output. Debug builds skip the
+    /// graphs over 400 states.
+    #[test]
+    fn linear_checks_match_oracles_on_benchmarks_and_corpus() {
+        let mut nets: Vec<simap_stg::Stg> = simap_stg::benchmark_names()
+            .iter()
+            .map(|name| simap_stg::benchmark(name).expect("known benchmark"))
+            .collect();
+        nets.extend(simap_stg::patterns::corpus(0, 240));
+        let sequencers = vec![simap_stg::patterns::sequencer(2, None); 8];
+        nets.push(simap_stg::patterns::parallel("grid8", &sequencers));
+        let mut checked = 0;
+        for net in &nets {
+            for all_outputs in [false, true] {
+                let g = elaborated(net, all_outputs);
+                if cfg!(debug_assertions) && g.state_count() > 400 {
+                    continue;
+                }
+                assert_matches_oracles(&g);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 2 * 240);
+    }
 
     fn sig(name: &str, kind: SignalKind) -> Signal {
         Signal::new(name, kind)
