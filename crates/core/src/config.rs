@@ -471,4 +471,23 @@ mod tests {
             seen.push(digest);
         }
     }
+
+    /// Serve's persistent result cache is keyed by the digest across
+    /// restarts, so the values themselves are pinned.
+    #[test]
+    fn digest_values_are_pinned() {
+        assert_eq!(Config::default().digest(), 14261767539774818697);
+        let tuned = Config::builder()
+            .literal_limit(3)
+            .or_limit(2)
+            .repair_csc(true)
+            .verify(false)
+            .verify_max_states(1234)
+            .ack_mode(AckMode::Local)
+            .max_insertions(5)
+            .reach_strategy(ReachStrategy::Spill)
+            .build()
+            .unwrap();
+        assert_eq!(tuned.digest(), 5452477954514971526);
+    }
 }

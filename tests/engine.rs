@@ -343,3 +343,56 @@ fn benchmark_suite_engine_and_standalone_runs_match() {
         assert_eq!(engine_events, standalone_events, "{name}: event stream");
     }
 }
+
+/// Where the event-stream goldens live.
+const EVENT_GOLDENS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+
+/// Compares `actual` with the committed golden `file`, or rewrites it
+/// under `UPDATE_GOLDEN=1`.
+fn check_event_golden(file: &str, actual: &str) {
+    let path = format!("{EVENT_GOLDENS}/{file}");
+    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, actual).expect("write golden");
+        eprintln!("regenerated {path}");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {path}: {e}\nregenerate it with: UPDATE_GOLDEN=1 cargo test --test \
+             engine golden_event_streams"
+        )
+    });
+    assert_eq!(
+        actual, golden,
+        "{file} drifted from the committed snapshot; if the change is intentional, regenerate \
+         it with:\n    UPDATE_GOLDEN=1 cargo test --test engine golden_event_streams"
+    );
+}
+
+/// The progress streams, byte for byte: the CLI's `-v` narration of
+/// hazard, and the NDJSON event lines of hazard at limit 2 and of a CSC
+/// repair run (the one stream with `csc_conflicts` and `csc_repair`).
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test --test engine golden_event_streams
+/// ```
+#[test]
+fn golden_event_streams_snapshot() {
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_simap"))
+        .args(["map", "--bench", "hazard", "-v"])
+        .output()
+        .expect("binary runs");
+    assert!(cli.status.success(), "{cli:?}");
+    check_event_golden("events_hazard_verbose.txt", &String::from_utf8(cli.stderr).unwrap());
+
+    let lines = |events: Vec<String>| events.iter().map(|e| format!("{e}\n")).collect::<String>();
+    let hazard = Config::builder().literal_limit(2).build().expect("valid config");
+    let (report, events) = run_with_events(Synthesis::from_benchmark("hazard"), &hazard);
+    report.expect("hazard maps");
+    check_event_golden("events_hazard.ndjson", &lines(events));
+
+    let repair = Config::builder().repair_csc(true).build().expect("valid config");
+    let (report, events) = run_with_events(Synthesis::from_g_source(CSC_CONFLICTED_G), &repair);
+    report.expect("the conflict is repaired");
+    check_event_golden("events_csc_repair.ndjson", &lines(events));
+}

@@ -289,6 +289,17 @@ fn streaming_mode_forwards_flow_events_as_ndjson() {
         lines.iter().any(|l| l.contains("\"event\":\"step\"")),
         "hazard inserts a signal, so a step event must stream: {body:?}"
     );
+    // Between the job line and the report, the stream is exactly the
+    // library's own event lines for the same specification.
+    let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = events.clone();
+    simap::Synthesis::from_benchmark("hazard")
+        .observer(simap::EventObserver::new(move |e: simap::FlowEvent| {
+            sink.lock().unwrap().push(e.to_json())
+        }))
+        .run()
+        .expect("hazard maps");
+    assert_eq!(lines[job_at + 1..lines.len() - 1], events.lock().unwrap()[..]);
     let last = json::parse(lines[lines.len() - 1]).unwrap();
     assert_eq!(last.get("event").and_then(Json::as_str), Some("report"));
     assert_eq!(last.get("report").unwrap().emit() + "\n", sync_body);
