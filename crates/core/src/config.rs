@@ -1,13 +1,12 @@
 //! The unified run configuration: one validated, builder-style struct
 //! absorbing every knob of the synthesis flow.
 //!
-//! Before this module, tuning a run meant reaching into four places —
-//! [`FlowConfig`] (decomposition + verification), [`CscRepairConfig`],
-//! [`VerifyConfig`] and loose builder setters like `or_limit` — and
-//! invalid values were clamped or ignored mid-flow. A [`Config`] is built
-//! once through [`ConfigBuilder`], validated at [`ConfigBuilder::build`],
-//! and then shared immutably by [`crate::Engine`], [`crate::Synthesis`]
-//! and [`crate::Batch`]:
+//! A [`Config`] holds the decomposition loop's [`DecomposeConfig`], the
+//! verifier's [`VerifyConfig`], the [`CscRepairConfig`], the
+//! [`ReachConfig`] and the flow switches. It is built once through
+//! [`ConfigBuilder`], validated at [`ConfigBuilder::build`], and then
+//! shared immutably by [`crate::Engine`], [`crate::Synthesis`] and
+//! [`crate::Batch`]:
 //!
 //! ```
 //! use simap_core::Config;
@@ -21,7 +20,6 @@
 use crate::csc::CscRepairConfig;
 use crate::decompose::{AckMode, DecomposeConfig};
 use crate::error::Error;
-use crate::flow::FlowConfig;
 use simap_netlist::VerifyConfig;
 use simap_stg::{ReachConfig, ReachStrategy};
 
@@ -32,7 +30,10 @@ use simap_stg::{ReachConfig, ReachStrategy};
 /// the flow itself never clamps or re-validates.
 #[derive(Debug, Clone)]
 pub struct Config {
-    pub(crate) flow: FlowConfig,
+    pub(crate) decompose: DecomposeConfig,
+    pub(crate) verify: bool,
+    pub(crate) verify_config: VerifyConfig,
+    pub(crate) repair_csc: bool,
     pub(crate) or_limit: Option<usize>,
     pub(crate) csc_repair: CscRepairConfig,
     pub(crate) reach: ReachConfig,
@@ -41,7 +42,10 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            flow: FlowConfig::with_limit(2),
+            decompose: DecomposeConfig::with_limit(2),
+            verify: true,
+            verify_config: VerifyConfig::default(),
+            repair_csc: false,
             or_limit: None,
             csc_repair: CscRepairConfig::default(),
             reach: ReachConfig::default(),
@@ -63,7 +67,7 @@ impl Config {
 
     /// Gate complexity target: every cover must fit this many literals.
     pub fn literal_limit(&self) -> usize {
-        self.flow.decompose.literal_limit
+        self.decompose.literal_limit
     }
 
     /// Fanin bound of the second-level OR trees (`None` = natural fanin).
@@ -73,32 +77,32 @@ impl Config {
 
     /// Whether the final netlist is verified for speed-independence.
     pub fn verify(&self) -> bool {
-        self.flow.verify
+        self.verify
     }
 
     /// Whether CSC violations are repaired by state-signal insertion.
     pub fn repair_csc(&self) -> bool {
-        self.flow.repair_csc
+        self.repair_csc
     }
 
     /// Acknowledgment policy of the decomposition loop.
     pub fn ack_mode(&self) -> AckMode {
-        self.flow.decompose.ack_mode
+        self.decompose.ack_mode
     }
 
     /// Hard cap on signals inserted by the decomposition loop.
     pub fn max_insertions(&self) -> usize {
-        self.flow.decompose.max_insertions
+        self.decompose.max_insertions
     }
 
     /// The decomposition-loop configuration.
     pub fn decompose_config(&self) -> &DecomposeConfig {
-        &self.flow.decompose
+        &self.decompose
     }
 
     /// The speed-independence verifier's limits.
     pub fn verify_config(&self) -> &VerifyConfig {
-        &self.flow.verify_config
+        &self.verify_config
     }
 
     /// The CSC-repair insertion budget.
@@ -128,7 +132,7 @@ impl Config {
     /// use (see [`crate::digest`]).
     pub fn digest(&self) -> u64 {
         use std::fmt::Write as _;
-        let d = &self.flow.decompose;
+        let d = &self.decompose;
         let r = &self.reach;
         let mut canon = String::with_capacity(256);
         let _ = write!(
@@ -137,9 +141,9 @@ impl Config {
              maxcand={};div={},{},{},{};filter={};refine={};",
             d.literal_limit,
             self.or_limit,
-            self.flow.verify,
-            self.flow.verify_config.max_states,
-            self.flow.repair_csc,
+            self.verify,
+            self.verify_config.max_states,
+            self.repair_csc,
             self.csc_repair.max_insertions,
             match d.ack_mode {
                 crate::decompose::AckMode::Global => "global",
@@ -186,7 +190,7 @@ impl ConfigBuilder {
     /// Gate complexity target: every cover must fit `limit` literals
     /// (default 2; must be at least 2).
     pub fn literal_limit(mut self, limit: usize) -> Self {
-        self.config.flow.decompose.literal_limit = limit;
+        self.config.decompose.literal_limit = limit;
         self
     }
 
@@ -201,7 +205,7 @@ impl ConfigBuilder {
     /// before cover synthesis (default off: a CSC violation is then an
     /// error, as in the paper's setting).
     pub fn repair_csc(mut self, on: bool) -> Self {
-        self.config.flow.repair_csc = on;
+        self.config.repair_csc = on;
         self
     }
 
@@ -214,38 +218,38 @@ impl ConfigBuilder {
     /// Acknowledgment policy of the decomposition loop (default:
     /// [`AckMode::Global`], the paper's method).
     pub fn ack_mode(mut self, mode: AckMode) -> Self {
-        self.config.flow.decompose.ack_mode = mode;
+        self.config.decompose.ack_mode = mode;
         self
     }
 
     /// Hard cap on signals inserted by the decomposition loop.
     pub fn max_insertions(mut self, n: usize) -> Self {
-        self.config.flow.decompose.max_insertions = n;
+        self.config.decompose.max_insertions = n;
         self
     }
 
     /// Whether the flow verifies the final netlist (default on).
     pub fn verify(mut self, on: bool) -> Self {
-        self.config.flow.verify = on;
+        self.config.verify = on;
         self
     }
 
     /// State cap for the speed-independence verifier.
     pub fn verify_config(mut self, config: VerifyConfig) -> Self {
-        self.config.flow.verify_config = config;
+        self.config.verify_config = config;
         self
     }
 
     /// State cap of the verifier (shorthand for [`Self::verify_config`]).
     pub fn verify_max_states(mut self, n: usize) -> Self {
-        self.config.flow.verify_config.max_states = n;
+        self.config.verify_config.max_states = n;
         self
     }
 
     /// Adopts the full decomposition-loop configuration (divisor tuning,
     /// candidate counts, ablation switches).
     pub fn decompose_config(mut self, config: DecomposeConfig) -> Self {
-        self.config.flow.decompose = config;
+        self.config.decompose = config;
         self
     }
 
@@ -329,16 +333,16 @@ impl ConfigBuilder {
     pub fn build(self) -> Result<Config, Error> {
         let c = &self.config;
         let fail = |what: &str| Err(Error::InvalidConfig { message: what.to_string() });
-        if c.flow.decompose.literal_limit < 2 {
+        if c.decompose.literal_limit < 2 {
             return fail("literal_limit must be at least 2 (a 1-literal gate is a wire)");
         }
         if c.or_limit.is_some_and(|l| l < 2) {
             return fail("or_limit must be at least 2");
         }
-        if c.flow.decompose.max_candidates_tried == 0 {
+        if c.decompose.max_candidates_tried == 0 {
             return fail("max_candidates_tried must be at least 1");
         }
-        if c.flow.verify_config.max_states == 0 {
+        if c.verify_config.max_states == 0 {
             return fail("verify max_states must be at least 1");
         }
         if c.reach.max_states == 0 {

@@ -53,7 +53,6 @@
 
 use crate::insertion::{compute_insertion, insert_signal, Insertion};
 use crate::mc::{synthesize_mc, synthesize_signal_in, McError, McImpl, SignalImpl};
-use crate::observer::{FlowObserver, NullObserver};
 use crate::progress::estimate_progress;
 use simap_boolean::{generate_divisors, Cover, DivisorConfig};
 use simap_sg::{check_all, SignalId, SignalKind, StateGraph};
@@ -154,35 +153,22 @@ fn signal_excess(s: &SignalImpl, limit: usize) -> usize {
 /// cannot be decomposed to the limit is reported via
 /// `DecomposeResult::implementable == false` (the paper's "n.i.").
 pub fn decompose(sg: &StateGraph, config: &DecomposeConfig) -> Result<DecomposeResult, McError> {
-    decompose_with(sg, config, &mut NullObserver)
-}
-
-/// Like [`decompose`], but fires
-/// [`FlowObserver::on_decompose_step`] for every committed insertion —
-/// the hook behind [`crate::pipeline::Synthesis::observer`].
-///
-/// # Errors
-/// See [`decompose`].
-pub fn decompose_with(
-    sg: &StateGraph,
-    config: &DecomposeConfig,
-    observer: &mut dyn FlowObserver,
-) -> Result<DecomposeResult, McError> {
     let mc = synthesize_mc(sg)?;
-    Ok(decompose_from(sg.clone(), mc, config, observer))
+    Ok(decompose_from(sg.clone(), mc, config, &mut |_| {}))
 }
 
 /// The decomposition loop from `mc`, an implementation of `initial` that
 /// the caller has already synthesized (the Covers stage holds one). It
 /// cannot fail: a candidate whose resynthesis fails is rejected, and the
-/// commit synthesizes nothing.
+/// commit synthesizes nothing. `on_step` sees each committed step as the
+/// loop commits it.
 pub(crate) fn decompose_from(
     initial: StateGraph,
     mc: McImpl,
     config: &DecomposeConfig,
-    observer: &mut dyn FlowObserver,
+    on_step: &mut dyn FnMut(&DecomposeStep),
 ) -> DecomposeResult {
-    decompose_loop(initial, mc, config, observer, select)
+    decompose_loop(initial, mc, config, on_step, select)
 }
 
 /// Picks the candidate a round commits among its top-ranked candidates.
@@ -194,7 +180,7 @@ fn decompose_loop(
     initial: StateGraph,
     mut mc: McImpl,
     config: &DecomposeConfig,
-    observer: &mut dyn FlowObserver,
+    on_step: &mut dyn FnMut(&DecomposeStep),
     select: Select,
 ) -> DecomposeResult {
     // The graph after the last committed insertion; `initial` until then.
@@ -266,7 +252,7 @@ fn decompose_loop(
                     target: sg.event_name(*target_event),
                     excess: (excess_now, chosen.excess),
                 };
-                observer.on_decompose_step(&step);
+                on_step(&step);
                 steps.push(step);
                 current = Some(chosen.sg);
                 mc = chosen.mc;
@@ -589,7 +575,7 @@ mod tests {
             let result =
                 decompose(sg, &config).unwrap_or_else(|e| panic!("{name} at {limit}: {e}"));
             let mc = synthesize_mc(sg).expect("the input has CSC");
-            let eager = decompose_loop(sg.clone(), mc, &config, &mut NullObserver, select_eager);
+            let eager = decompose_loop(sg.clone(), mc, &config, &mut |_| {}, select_eager);
             assert_eq!(
                 format!("{:?}", (&result.steps, &result.inserted, &result.mc)),
                 format!("{:?}", (&eager.steps, &eager.inserted, &eager.mc)),

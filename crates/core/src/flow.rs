@@ -1,11 +1,9 @@
 //! End-to-end flow: specification → monotonous covers → decomposition →
 //! standard-C netlist → cost accounting → speed-independence verification.
 
-use crate::decompose::{DecomposeConfig, DecomposeResult};
+use crate::decompose::DecomposeResult;
 use crate::mc::{McImpl, SignalBody};
-use simap_netlist::{
-    sop_gate, tech_decomp_literals, Circuit, Cost, Gate, GateFunc, NetId, VerifyConfig,
-};
+use simap_netlist::{sop_gate, tech_decomp_literals, Circuit, Cost, Gate, GateFunc, NetId};
 use simap_sg::{SignalKind, StateGraph};
 
 /// Builds the standard-C architecture netlist for an implementation:
@@ -410,33 +408,6 @@ pub struct FlowReport {
     pub reach: Option<simap_stg::ReachStats>,
     /// The decomposition outcome (final SG, covers, steps).
     pub outcome: DecomposeResult,
-}
-
-/// The decomposition and verification knobs of a [`crate::Config`].
-#[derive(Debug, Clone)]
-pub struct FlowConfig {
-    /// Decomposition configuration (literal limit etc.).
-    pub decompose: DecomposeConfig,
-    /// Verify the final netlist against the final state graph.
-    pub verify: bool,
-    /// State cap for verification.
-    pub verify_config: VerifyConfig,
-    /// Repair Complete State Coding violations by state-signal insertion
-    /// before mapping (see [`crate::csc`]). Off by default: a CSC
-    /// violation is then an error, as in the paper's setting.
-    pub repair_csc: bool,
-}
-
-impl FlowConfig {
-    /// Flow targeting gates of at most `limit` literals.
-    pub fn with_limit(limit: usize) -> Self {
-        FlowConfig {
-            decompose: DecomposeConfig::with_limit(limit),
-            verify: true,
-            verify_config: VerifyConfig::default(),
-            repair_csc: false,
-        }
-    }
 }
 
 /// Internal signals of a state graph (the inserted ones plus any the spec

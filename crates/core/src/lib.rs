@@ -96,10 +96,10 @@
 //! # Ok::<(), simap_core::Error>(())
 //! ```
 //!
-//! Progress hooks ([`FlowObserver`], [`pipeline::Synthesis::observer`])
-//! have a serializable form — [`FlowEvent`] with a stable one-line JSON
-//! rendering, adapted by [`EventObserver`] — which is what `simap-serve`
-//! streams to NDJSON clients. Reports render through [`report`]
+//! A run reports progress as [`FlowEvent`] values sent to any
+//! `FnMut(FlowEvent)` sink ([`pipeline::Synthesis::observer`]); their
+//! stable one-line JSON rendering is what `simap-serve` streams to
+//! NDJSON clients. Reports render through [`report`]
 //! (markdown / CSV / JSON, including [`report::benchmarks_json`], the
 //! registry listing the CLI and the service share) on the hand-rolled
 //! [`json`] module, whose recursive-descent [`json::parse`] is the other
@@ -115,7 +115,12 @@
 //! reachability strategy was removed in 0.13 without a deprecation
 //! cycle, since no caller selected it. The engine's elaboration cache
 //! went in 0.14; [`Engine::clear_cache`] stays as a deprecated no-op
-//! until 0.15. Algorithm
+//! until 0.15. Also in 0.14, and also without a deprecation cycle, the
+//! seven-method observer trait and its four adapters gave way to
+//! [`FlowEvent`] sinks, the observer variant of [`decompose()`] went with
+//! them, and the nested flow configuration's four fields moved onto
+//! [`Config`]: a deprecated forwarding shim would have kept a second
+//! code path. Algorithm
 //! primitives ([`mc::synthesize_mc`], [`csc::repair_csc`],
 //! [`insertion::compute_insertion`], [`flow::build_circuit`], …) are the
 //! stable substrate the pipeline itself is built on.
@@ -140,15 +145,13 @@ pub mod report;
 
 pub use config::{Config, ConfigBuilder};
 pub use csc::{csc_conflicts, repair_csc, CscConflict, CscRepairConfig, CscRepairError};
-pub use decompose::{
-    decompose, decompose_with, excess, AckMode, DecomposeConfig, DecomposeResult, DecomposeStep,
-};
+pub use decompose::{decompose, excess, AckMode, DecomposeConfig, DecomposeResult, DecomposeStep};
 pub use digest::{fnv1a64, Fnv64};
 pub use engine::Engine;
 pub use error::{Error, Stage};
 pub use flow::{
     build_circuit, build_circuit_with_or_limit, build_decomposed_circuit, non_si_cost, si_cost,
-    FlowConfig, FlowReport,
+    FlowReport,
 };
 pub use insertion::{
     compute_insertion, compute_insertion_from_block, insert_function, insert_signal, Insertion,
@@ -158,9 +161,7 @@ pub use mc::{
     synthesize_mc, synthesize_signal, validate_mc, McError, McImpl, RegionCover, SignalBody,
     SignalImpl,
 };
-pub use observer::{
-    EventObserver, FlowEvent, FlowObserver, NullObserver, RecordingObserver, StderrObserver,
-};
+pub use observer::FlowEvent;
 pub use pipeline::{Batch, Covers, Decomposed, Elaborated, Mapped, Synthesis, Verified};
 pub use progress::{estimate_progress, replaces_trigger, ProgressEstimate};
 pub use report::{benchmarks_json, dossier, report_json, to_csv, to_json, to_markdown, BatchRow};

@@ -41,7 +41,7 @@ use crate::engine::Engine;
 use crate::error::{Error, Stage};
 use crate::flow::{build_circuit_with_or_limit, non_si_cost, si_cost, FlowReport};
 use crate::mc::{synthesize_mc, McImpl};
-use crate::observer::{FlowObserver, NullObserver};
+use crate::observer::FlowEvent;
 use crate::report::BatchRow;
 use simap_netlist::{verify_speed_independence, Circuit, Cost, VerifyError};
 use simap_sg::StateGraph;
@@ -61,19 +61,30 @@ enum Source {
     StateGraph(Box<StateGraph>),
 }
 
+/// Where [`Synthesis::observer`] sends a run's progress events.
+type Sink = Box<dyn FnMut(FlowEvent) + Send>;
+
 /// Pipeline state threaded through the typed stages.
 struct Ctx {
     config: Config,
-    observer: Box<dyn FlowObserver + Send>,
+    sink: Option<Sink>,
 }
 
 impl Ctx {
+    /// Sends the event `event` builds; it is built only when a sink is
+    /// attached, so an unobserved run allocates nothing for it.
+    fn emit(&mut self, event: impl FnOnce() -> FlowEvent) {
+        if let Some(sink) = &mut self.sink {
+            sink(event());
+        }
+    }
+
     fn start(&mut self, stage: Stage, spec: &str) {
-        self.observer.on_stage_start(stage, spec);
+        self.emit(|| FlowEvent::StageStart { stage, spec: spec.to_string() });
     }
 
     fn end(&mut self, stage: Stage) {
-        self.observer.on_stage_end(stage);
+        self.emit(|| FlowEvent::StageEnd { stage });
     }
 }
 
@@ -87,7 +98,7 @@ pub struct Synthesis {
     ctx: Ctx,
 }
 
-// The stage artifacts carry a `Box<dyn FlowObserver>`, so Debug is
+// The stage artifacts carry a boxed event sink, so Debug is
 // implemented by hand over the data that identifies the stage.
 macro_rules! stage_debug {
     ($ty:ident { $($field:ident : $expr:expr),* $(,)? }) => {
@@ -135,11 +146,7 @@ stage_debug!(Verified {
 
 impl Synthesis {
     fn new(source: Source) -> Self {
-        Synthesis {
-            source,
-            engine: None,
-            ctx: Ctx { config: Config::default(), observer: Box::new(NullObserver) },
-        }
+        Synthesis { source, engine: None, ctx: Ctx { config: Config::default(), sink: None } }
     }
 
     /// Synthesizes a circuit of the embedded Table 1 suite. The name is
@@ -181,11 +188,12 @@ impl Synthesis {
         self
     }
 
-    /// Attaches a progress observer receiving a callback per stage,
-    /// decomposition step, CSC insertion and verdict. The observer must be
-    /// `Send` so stage artifacts can cross threads.
-    pub fn observer(mut self, observer: impl FlowObserver + Send + 'static) -> Self {
-        self.ctx.observer = Box::new(observer);
+    /// Attaches a progress sink receiving every [`FlowEvent`] of the run
+    /// as it happens: stage boundaries, CSC conflicts and repairs,
+    /// per-signal covers, decomposition steps and the verdict. The sink
+    /// must be `Send` so stage artifacts can cross threads.
+    pub fn observer(mut self, sink: impl FnMut(FlowEvent) + Send + 'static) -> Self {
+        self.ctx.sink = Some(Box::new(sink));
         self
     }
 
@@ -237,12 +245,12 @@ impl Synthesis {
         let sg = if conflicts.is_empty() {
             sg
         } else {
-            self.ctx.observer.on_csc_conflicts(&conflicts);
-            if self.ctx.config.flow.repair_csc {
+            self.ctx.emit(|| FlowEvent::CscConflicts { count: conflicts.len() });
+            if self.ctx.config.repair_csc {
                 match repair_csc(&sg, &self.ctx.config.csc_repair) {
                     Ok((fixed, inserted)) => {
                         for signal in &inserted {
-                            self.ctx.observer.on_csc_repair(signal);
+                            self.ctx.emit(|| FlowEvent::CscRepair { signal: signal.clone() });
                         }
                         repaired = inserted;
                         fixed
@@ -319,7 +327,7 @@ impl Elaborated {
     /// The rest of [`Synthesis::run`]: covers, decompose, map and (unless
     /// disabled) verify.
     fn finish(self) -> Result<FlowReport, Error> {
-        let verify = self.ctx.config.flow.verify;
+        let verify = self.ctx.config.verify;
         let mapped = self.covers()?.decompose()?.map();
         let verified = if verify { mapped.verify_compat() } else { mapped.skip_verify() };
         Ok(verified.into_report())
@@ -342,16 +350,18 @@ impl Elaborated {
                 });
             }
         };
-        // Per-signal progress events fire from the merged result, in
-        // signal-index order (all CSC callbacks belong to the Elaborate
+        // Per-signal progress events come from the merged result, in
+        // signal-index order (all CSC events belong to the Elaborate
         // stage and precede these by construction).
         for signal in &mc.signals {
-            let name = &self.sg.signals()[signal.signal.0].name;
-            self.ctx.observer.on_signal_synth(name, signal.cube_count(), signal.literal_count());
+            self.ctx.emit(|| FlowEvent::SignalSynth {
+                signal: self.sg.signals()[signal.signal.0].name.clone(),
+                cubes: signal.cube_count(),
+                literals: signal.literal_count(),
+            });
         }
         let initial_histogram = mc.gate_histogram();
-        let limit = self.ctx.config.flow.decompose.literal_limit.max(2);
-        let non_si = non_si_cost(&mc, limit);
+        let non_si = non_si_cost(&mc, self.ctx.config.decompose.literal_limit);
         self.ctx.end(Stage::Covers);
         Ok(Covers {
             ctx: self.ctx,
@@ -397,8 +407,8 @@ impl Covers {
         self.non_si
     }
 
-    /// Runs the §3 decomposition/resynthesis loop, firing
-    /// [`FlowObserver::on_decompose_step`] per committed insertion.
+    /// Runs the §3 decomposition/resynthesis loop, sending
+    /// [`FlowEvent::Step`] as each insertion is committed.
     ///
     /// # Errors
     /// None today: the loop rejects any candidate whose resynthesis fails
@@ -408,11 +418,16 @@ impl Covers {
         self.ctx.start(Stage::Decompose, self.sg.name());
         // The loop starts from the covers this stage already holds, on the
         // graph itself when no other handle shares it.
+        let sink = &mut self.ctx.sink;
         let outcome = decompose_from(
             Arc::unwrap_or_clone(self.sg),
             self.mc,
-            &self.ctx.config.flow.decompose,
-            self.ctx.observer.as_mut(),
+            &self.ctx.config.decompose,
+            &mut |step| {
+                if let Some(sink) = sink {
+                    sink(FlowEvent::Step { step: step.clone() });
+                }
+            },
         );
         self.ctx.end(Stage::Decompose);
         Ok(Decomposed {
@@ -472,8 +487,7 @@ impl Decomposed {
             &self.outcome.mc,
             self.ctx.config.or_limit,
         );
-        let limit = self.ctx.config.flow.decompose.literal_limit.max(2);
-        let si = si_cost(&self.outcome.mc, limit);
+        let si = si_cost(&self.outcome.mc, self.ctx.config.decompose.literal_limit);
         self.ctx.end(Stage::Map);
         Mapped {
             ctx: self.ctx,
@@ -536,7 +550,7 @@ impl Mapped {
         match verify_speed_independence(
             &self.circuit,
             &self.outcome.sg,
-            &self.ctx.config.flow.verify_config,
+            &self.ctx.config.verify_config,
         ) {
             Ok(_) => Ok(Some(true)),
             Err(VerifyError::TooManyStates { .. }) => Ok(None),
@@ -562,7 +576,7 @@ impl Mapped {
             Ok(v) => *v,
             Err(_) => Some(false),
         };
-        self.ctx.observer.on_verdict(verdict);
+        self.ctx.emit(|| FlowEvent::Verdict { verified: verdict });
         self.ctx.end(Stage::Verify);
         match outcome {
             Ok(v) => Ok(self.into_verified(v)),
@@ -573,7 +587,7 @@ impl Mapped {
     /// Skips verification, producing a report with `verified == None`.
     pub fn skip_verify(mut self) -> Verified {
         self.ctx.start(Stage::Verify, self.outcome.sg.name());
-        self.ctx.observer.on_verdict(None);
+        self.ctx.emit(|| FlowEvent::Verdict { verified: None });
         self.ctx.end(Stage::Verify);
         self.into_verified(None)
     }
@@ -585,7 +599,7 @@ impl Mapped {
     pub fn verify_compat(mut self) -> Verified {
         self.ctx.start(Stage::Verify, self.outcome.sg.name());
         let verdict = self.run_verifier().unwrap_or(Some(false));
-        self.ctx.observer.on_verdict(verdict);
+        self.ctx.emit(|| FlowEvent::Verdict { verified: verdict });
         self.ctx.end(Stage::Verify);
         self.into_verified(verdict)
     }
@@ -743,7 +757,7 @@ impl Batch {
                     });
                 }
                 let mut config = self.engine.config().clone();
-                config.flow.decompose.literal_limit = limit;
+                config.decompose.literal_limit = limit;
                 Ok(config)
             })
             .collect::<Result<_, _>>()?;
@@ -815,7 +829,6 @@ fn run_row(engine: &Engine, name: &str, configs: &[Config]) -> Result<BatchRow, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::RecordingObserver;
 
     fn config_at(limit: usize) -> Config {
         Config::builder().literal_limit(limit).build().unwrap()
@@ -903,28 +916,32 @@ mod tests {
 
     #[test]
     fn observer_sees_steps_and_verdict() {
-        let recorder = std::sync::Arc::new(std::sync::Mutex::new(RecordingObserver::default()));
-
-        struct Shared(std::sync::Arc<std::sync::Mutex<RecordingObserver>>);
-        impl FlowObserver for Shared {
-            fn on_stage_start(&mut self, stage: Stage, spec: &str) {
-                self.0.lock().unwrap().on_stage_start(stage, spec);
-            }
-            fn on_decompose_step(&mut self, step: &DecomposeStep) {
-                self.0.lock().unwrap().on_decompose_step(step);
-            }
-            fn on_verdict(&mut self, verified: Option<bool>) {
-                self.0.lock().unwrap().on_verdict(verified);
-            }
-        }
-
-        let report =
-            Synthesis::from_benchmark("hazard").observer(Shared(recorder.clone())).run().unwrap();
-        let seen = recorder.lock().unwrap();
-        assert_eq!(seen.steps.len(), report.inserted.unwrap());
-        assert_eq!(seen.verdict, Some(Some(true)));
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = events.clone();
+        let report = Synthesis::from_benchmark("hazard")
+            .observer(move |e| sink.lock().unwrap().push(e))
+            .run()
+            .unwrap();
+        let events = events.lock().unwrap();
+        let steps = events.iter().filter(|e| matches!(e, FlowEvent::Step { .. })).count();
+        assert_eq!(steps, report.inserted.unwrap());
+        let verdicts: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                FlowEvent::Verdict { verified } => Some(*verified),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(verdicts, [Some(true)]);
+        let stages: Vec<Stage> = events
+            .iter()
+            .filter_map(|e| match e {
+                FlowEvent::StageStart { stage, .. } => Some(*stage),
+                _ => None,
+            })
+            .collect();
         for stage in [Stage::Load, Stage::Elaborate, Stage::Covers, Stage::Decompose, Stage::Map] {
-            assert!(seen.stages.contains(&stage), "missing {stage}");
+            assert!(stages.contains(&stage), "missing {stage}");
         }
     }
 

@@ -43,8 +43,8 @@ pub enum BuildSgError {
     DuplicateSignal(String),
     /// The graph has no states.
     Empty,
-    /// [`StateGraph::from_grouped_arcs`] was fed arcs not grouped by
-    /// source state.
+    /// [`StateGraph::from_csr_parts`] was fed successor offsets that do
+    /// not group the arcs by source state.
     UngroupedArcs,
 }
 
@@ -55,7 +55,7 @@ impl fmt::Display for BuildSgError {
             BuildSgError::DuplicateSignal(s) => write!(f, "duplicate signal name `{s}`"),
             BuildSgError::Empty => write!(f, "state graph has no states"),
             BuildSgError::UngroupedArcs => {
-                write!(f, "from_grouped_arcs requires arcs grouped by ascending source state")
+                write!(f, "successor offsets must rise monotonically and cover every arc")
             }
         }
     }
@@ -263,46 +263,7 @@ fn csr(
 }
 
 impl StateGraph {
-    /// Bulk constructor for exploration front-ends: builds the graph
-    /// directly from per-state codes and an arc stream **grouped by
-    /// ascending source state** (the natural output order of a BFS), with
-    /// no intermediate arc buffer. Produces exactly the graph the
-    /// equivalent [`StateGraphBuilder`] sequence would — arcs sorted and
-    /// deduplicated per state — at a fraction of the allocation traffic.
-    ///
-    /// # Errors
-    /// The [`StateGraphBuilder::new`] validations, plus
-    /// [`BuildSgError::UngroupedArcs`] when the stream violates the
-    /// grouping precondition.
-    pub fn from_grouped_arcs(
-        name: impl Into<String>,
-        signals: Vec<Signal>,
-        codes: Vec<u64>,
-        initial: StateId,
-        arcs: impl IntoIterator<Item = (StateId, Event, StateId)>,
-    ) -> Result<StateGraph, BuildSgError> {
-        let arcs = arcs.into_iter();
-        let n = codes.len();
-        let mut succ_off = vec![0usize; n + 1];
-        let mut flat: Vec<(Event, StateId)> = Vec::with_capacity(arcs.size_hint().0);
-        let mut last_src = 0usize;
-        let mut unsorted = false;
-        flat.extend(arcs.map(|(src, ev, dst)| {
-            unsorted |= src.0 < last_src;
-            last_src = src.0;
-            succ_off[src.0 + 1] += 1;
-            (ev, dst)
-        }));
-        if unsorted {
-            return Err(BuildSgError::UngroupedArcs);
-        }
-        for i in 0..n {
-            succ_off[i + 1] += succ_off[i];
-        }
-        Self::from_csr_parts(name, signals, codes, initial, succ_off, flat)
-    }
-
-    /// The rawest bulk constructor: per-state codes plus ready-made
+    /// The bulk constructor: per-state codes plus ready-made
     /// successor CSR parts (`succ_off[s]..succ_off[s+1]` indexing `arcs`;
     /// per-state arc order arbitrary). Sorts and deduplicates each
     /// segment and derives the predecessor direction, producing exactly
@@ -625,47 +586,6 @@ mod tests {
         assert_eq!(g.code(StateId(2)), 0);
     }
 
-    #[test]
-    fn from_grouped_arcs_matches_builder() {
-        let incremental = toy();
-        let signals =
-            vec![Signal::new("a", SignalKind::Input), Signal::new("b", SignalKind::Output)];
-        let a = SignalId(0);
-        let bb = SignalId(1);
-        // Same graph, arcs grouped by source (per-source order arbitrary).
-        let bulk = StateGraph::from_grouped_arcs(
-            "toy",
-            signals.clone(),
-            vec![0b00, 0b01, 0b11, 0b10],
-            StateId(0),
-            [
-                (StateId(0), Event::rise(a), StateId(1)),
-                (StateId(1), Event::rise(bb), StateId(2)),
-                (StateId(2), Event::fall(a), StateId(3)),
-                (StateId(3), Event::fall(bb), StateId(0)),
-            ],
-        )
-        .unwrap();
-        assert_eq!(bulk.state_count(), incremental.state_count());
-        assert_eq!(bulk.arc_count(), incremental.arc_count());
-        for s in incremental.states() {
-            assert_eq!(bulk.code(s), incremental.code(s));
-            assert_eq!(bulk.succ(s), incremental.succ(s));
-            assert_eq!(bulk.pred(s), incremental.pred(s));
-        }
-
-        // Arcs out of source order are rejected.
-        let err = StateGraph::from_grouped_arcs(
-            "bad",
-            signals,
-            vec![0b00, 0b01],
-            StateId(0),
-            [(StateId(1), Event::fall(a), StateId(0)), (StateId(0), Event::rise(a), StateId(1))],
-        )
-        .unwrap_err();
-        assert_eq!(err, BuildSgError::UngroupedArcs);
-    }
-
     /// Every constructor yields the documented arc order: successor and
     /// predecessor slices sorted by `(Event, StateId)` and deduplicated,
     /// however the arcs were fed in.
@@ -703,17 +623,6 @@ mod tests {
         }
         let built = b.build(StateId(0)).unwrap();
 
-        let mut grouped = fed.clone();
-        grouped.sort_by_key(|arc| arc.0);
-        let from_grouped = StateGraph::from_grouped_arcs(
-            "order",
-            signals.clone(),
-            codes.clone(),
-            StateId(0),
-            grouped,
-        )
-        .unwrap();
-
         let mut succ_off = vec![0usize; codes.len() + 1];
         for &(src, _, _) in &fed {
             succ_off[src.0 + 1] += 1;
@@ -740,10 +649,8 @@ mod tests {
                 arcs.iter().filter(|a| a.0 == s).map(|&(_, e, t)| (e, t)).collect();
             expected.sort_unstable();
             assert_eq!(built.succ(s), &expected[..]);
-            for g in [&from_grouped, &from_csr] {
-                assert_eq!(g.succ(s), built.succ(s));
-                assert_eq!(g.pred(s), built.pred(s));
-            }
+            assert_eq!(from_csr.succ(s), built.succ(s));
+            assert_eq!(from_csr.pred(s), built.pred(s));
         }
     }
 

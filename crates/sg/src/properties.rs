@@ -531,16 +531,17 @@ mod tests {
                 Signal::new(s.name.clone(), kind)
             })
             .collect();
-        let codes = g.states().map(|s| g.code(s)).collect();
-        let arcs = g.states().flat_map(|s| {
-            g.succ(s).iter().map(move |&(e, t)| {
-                let event = Event { signal: SignalId(e.signal.0), rising: e.rising };
-                (StateId(s.0), event, StateId(t.0))
-            })
-        });
-        let initial = StateId(g.initial().0);
         let name = format!("{}{}", g.name(), if all_outputs { "/outputs" } else { "" });
-        StateGraph::from_grouped_arcs(name, signals, codes, initial, arcs).unwrap()
+        let mut b = StateGraphBuilder::with_capacity(name, signals, g.state_count(), g.arc_count())
+            .unwrap();
+        b.add_states(g.states().map(|s| g.code(s)));
+        for s in g.states() {
+            for &(e, t) in g.succ(s) {
+                let event = Event { signal: SignalId(e.signal.0), rising: e.rising };
+                b.add_arc(StateId(s.0), event, StateId(t.0));
+            }
+        }
+        b.build(StateId(g.initial().0)).unwrap()
     }
 
     /// The linear checks equal their oracles on every embedded circuit,

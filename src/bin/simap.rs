@@ -19,7 +19,7 @@
 use simap::core::{benchmarks_json, dossier, report_json, to_csv, to_json, to_markdown};
 use simap::netlist::to_verilog;
 use simap::sg::DotOptions;
-use simap::{Config, Engine, StderrObserver, Synthesis};
+use simap::{Config, Engine, FlowEvent, Synthesis};
 use std::error::Error;
 use std::io::Write;
 use std::process::ExitCode;
@@ -412,7 +412,7 @@ fn map(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
 
     let mut synthesis = synthesis(&parsed)?.config(&config);
     if parsed.has("--verbose") {
-        synthesis = synthesis.observer(StderrObserver);
+        synthesis = synthesis.observer(narrate);
     }
 
     // Drive the stages explicitly so the mapped netlist is available for
@@ -455,6 +455,31 @@ fn map(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         confirm(path)?;
     }
     Ok(if report.inserted.is_some() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+}
+
+/// The `--verbose` narration: one stderr line per progress event.
+fn narrate(event: FlowEvent) {
+    match event {
+        FlowEvent::StageStart { stage, spec } => eprintln!("[{stage}] {spec}"),
+        FlowEvent::CscConflicts { count } => eprintln!("  {count} CSC conflict(s)"),
+        FlowEvent::CscRepair { signal } => eprintln!("  inserted CSC state signal {signal}"),
+        FlowEvent::Step { step } => eprintln!(
+            "  inserted {} = {} targeting {} (excess {} -> {})",
+            step.signal, step.divisor, step.target, step.excess.0, step.excess.1
+        ),
+        FlowEvent::SignalSynth { signal, cubes, literals } => {
+            eprintln!("  covers for {signal}: {cubes} cube(s), {literals} literal(s)")
+        }
+        FlowEvent::Verdict { verified } => eprintln!(
+            "  speed-independent: {}",
+            match verified {
+                Some(true) => "verified",
+                Some(false) => "REFUTED",
+                None => "unchecked",
+            }
+        ),
+        FlowEvent::StageEnd { .. } | FlowEvent::Gateway { .. } => {}
+    }
 }
 
 fn bench(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {

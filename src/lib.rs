@@ -241,8 +241,9 @@
 //! ```
 //!
 //! Failures of any stage surface as the unified [`Error`] enum with the
-//! stage and the offending signals attached, and [`FlowObserver`] hooks
-//! stream per-step progress ([`Synthesis::observer`]).
+//! stage and the offending signals attached, and any `FnMut(FlowEvent)`
+//! sink receives the run's progress as [`FlowEvent`] values
+//! ([`Synthesis::observer`]).
 //!
 //! ## Crates
 //!
@@ -276,6 +277,11 @@
 //! elaboration cache was removed in 0.14 (it skipped only reachability
 //! and CSC repair, which cost little next to decomposition);
 //! [`Engine::clear_cache`] remains as a deprecated no-op until 0.15.
+//! Also in 0.14, and also without a deprecation cycle, the seven-method
+//! observer trait and its four adapters gave way to [`FlowEvent`] sinks
+//! (with them went the observer variant of `decompose`), and the nested
+//! flow configuration's four fields moved onto [`Config`]: a deprecated
+//! forwarding shim would have kept a second code path.
 //! Algorithm primitives
 //! (`synthesize_mc`, `repair_csc`, `compute_insertion`, `build_circuit`,
 //! …) are the stable substrate the pipeline is built on.
@@ -292,8 +298,7 @@ pub use simap_stg as stg;
 
 pub use simap_core::pipeline;
 pub use simap_core::{
-    Batch, Config, ConfigBuilder, Covers, Decomposed, Elaborated, Engine, Error, FlowObserver,
-    Mapped, Stage, Synthesis, Verified,
+    Batch, Config, ConfigBuilder, Covers, Decomposed, Elaborated, Engine, Error, FlowEvent, Mapped,
+    Stage, Synthesis, Verified,
 };
-pub use simap_core::{EventObserver, FlowEvent, NullObserver, RecordingObserver, StderrObserver};
 pub use simap_stg::{ReachConfig, ReachStats, ReachStrategy};

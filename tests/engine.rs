@@ -4,9 +4,7 @@
 //! reports.
 
 use simap::core::{report_json, to_csv, to_markdown};
-use simap::{
-    Config, Engine, Error, EventObserver, FlowEvent, ReachConfig, ReachStrategy, Stage, Synthesis,
-};
+use simap::{Config, Engine, Error, FlowEvent, ReachConfig, ReachStrategy, Stage, Synthesis};
 use std::sync::{Arc, Mutex};
 
 #[test]
@@ -98,25 +96,28 @@ fn engine_reruns_g_sources_identically() {
     assert_eq!(report_json(&first), report_json(&again));
 }
 
+/// Runs `elaborate` on `synthesis` with a sink attached and returns the
+/// events it collected.
+fn elaborate_events(synthesis: Synthesis) -> Vec<FlowEvent> {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = events.clone();
+    synthesis.observer(move |e| sink.lock().unwrap().push(e)).elaborate().unwrap();
+    let events = events.lock().unwrap().clone();
+    events
+}
+
 #[test]
 fn rerun_stg_sources_emit_the_same_stages() {
-    use simap::core::RecordingObserver;
-    use simap::FlowObserver;
-
-    struct Shared(Arc<Mutex<RecordingObserver>>);
-    impl FlowObserver for Shared {
-        fn on_stage_start(&mut self, stage: Stage, spec: &str) {
-            self.0.lock().unwrap().on_stage_start(stage, spec);
-        }
-    }
-
     let engine = Engine::default();
     let stg = simap::stg::benchmark("half").unwrap();
     let record = |engine: &Engine, stg: &simap::stg::Stg| {
-        let rec = Arc::new(Mutex::new(RecordingObserver::default()));
-        engine.stg(stg.clone()).observer(Shared(rec.clone())).elaborate().unwrap();
-        let stages = rec.lock().unwrap().stages.clone();
-        stages
+        elaborate_events(engine.stg(stg.clone()))
+            .into_iter()
+            .filter_map(|e| match e {
+                FlowEvent::StageStart { stage, .. } => Some(stage),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
     };
     let first = record(&engine, &stg);
     let again = record(&engine, &stg);
@@ -126,25 +127,17 @@ fn rerun_stg_sources_emit_the_same_stages() {
 
 #[test]
 fn reruns_emit_the_same_csc_conflicts_and_repairs() {
-    use simap::core::RecordingObserver;
-    use simap::FlowObserver;
-
-    struct Shared(Arc<Mutex<RecordingObserver>>);
-    impl FlowObserver for Shared {
-        fn on_csc_conflicts(&mut self, conflicts: &[simap::core::CscConflict]) {
-            self.0.lock().unwrap().on_csc_conflicts(conflicts);
-        }
-        fn on_csc_repair(&mut self, signal: &str) {
-            self.0.lock().unwrap().on_csc_repair(signal);
-        }
-    }
-
     let engine = Engine::new(Config::builder().repair_csc(true).build().unwrap());
     let record = |engine: &Engine| {
-        let rec = Arc::new(Mutex::new(RecordingObserver::default()));
-        engine.g_source(CSC_CONFLICTED_G).observer(Shared(rec.clone())).elaborate().unwrap();
-        let seen = rec.lock().unwrap();
-        (seen.conflict_counts.clone(), seen.csc_insertions.clone())
+        let (mut counts, mut repairs) = (Vec::new(), Vec::new());
+        for event in elaborate_events(engine.g_source(CSC_CONFLICTED_G)) {
+            match event {
+                FlowEvent::CscConflicts { count } => counts.push(count),
+                FlowEvent::CscRepair { signal } => repairs.push(signal),
+                _ => {}
+            }
+        }
+        (counts, repairs)
     };
     let first = record(&engine);
     let again = record(&engine);
@@ -241,13 +234,13 @@ fn reach_stats_flow_through_the_pipeline() {
 }
 
 /// Runs one flow, returning the JSON report (or the error rendering) plus
-/// the full observer event stream as JSON lines.
+/// the full event stream as JSON lines.
 fn run_with_events(synthesis: Synthesis, config: &Config) -> (Result<String, String>, Vec<String>) {
     let events = Arc::new(Mutex::new(Vec::new()));
     let sink = events.clone();
     let result = synthesis
         .config(config)
-        .observer(EventObserver::new(move |e: FlowEvent| sink.lock().unwrap().push(e.to_json())))
+        .observer(move |e: FlowEvent| sink.lock().unwrap().push(e.to_json()))
         .run()
         .map(|report| report_json(&report))
         .map_err(|e| format!("{e:?}"));

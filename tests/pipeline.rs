@@ -1,11 +1,12 @@
 //! Integration tests of the staged `Synthesis` pipeline: the typed error
 //! paths (unknown benchmark, parse failure, CSC violation with repair
 //! off, CSC repair failure, verification failure), the equivalence of the
-//! staged and one-shot drivers, CSC repair, observer delivery and
+//! staged and one-shot drivers, CSC repair, progress-event delivery and
 //! batches.
 
 use simap::sg::{Event, Signal, SignalId, SignalKind, StateGraph, StateGraphBuilder};
-use simap::{Batch, Error, Stage, Synthesis};
+use simap::{Batch, Error, FlowEvent, Stage, Synthesis};
+use std::sync::{Arc, Mutex};
 
 /// a+ ; b+ ; b- ; a- over two *output* signals: the textbook CSC
 /// conflict, repairable by one internal state signal.
@@ -159,73 +160,56 @@ fn csc_repair_on_repairs_and_completes() {
     assert_eq!(report.verified, Some(true));
 }
 
+/// A sink collecting a run's events, and the shared vector it fills.
+fn collector() -> (impl FnMut(FlowEvent) + Send + 'static, Arc<Mutex<Vec<FlowEvent>>>) {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = events.clone();
+    (move |e| sink.lock().unwrap().push(e), events)
+}
+
+/// The stages the events start and end, in order.
+fn stage_bounds(events: &[FlowEvent]) -> (Vec<Stage>, Vec<Stage>) {
+    let (mut starts, mut ends) = (Vec::new(), Vec::new());
+    for event in events {
+        match event {
+            FlowEvent::StageStart { stage, .. } => starts.push(*stage),
+            FlowEvent::StageEnd { stage } => ends.push(*stage),
+            _ => {}
+        }
+    }
+    (starts, ends)
+}
+
 #[test]
 fn observer_streams_progress() {
-    use simap::core::DecomposeStep;
-    use simap::FlowObserver;
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Default)]
-    struct Log {
-        stages: Vec<Stage>,
-        ends: Vec<Stage>,
-        steps: usize,
-        verdict: Option<Option<bool>>,
-    }
-    struct Obs(Arc<Mutex<Log>>);
-    impl FlowObserver for Obs {
-        fn on_stage_start(&mut self, stage: Stage, _spec: &str) {
-            self.0.lock().unwrap().stages.push(stage);
-        }
-        fn on_stage_end(&mut self, stage: Stage) {
-            self.0.lock().unwrap().ends.push(stage);
-        }
-        fn on_decompose_step(&mut self, _step: &DecomposeStep) {
-            self.0.lock().unwrap().steps += 1;
-        }
-        fn on_verdict(&mut self, verified: Option<bool>) {
-            self.0.lock().unwrap().verdict = Some(verified);
-        }
-    }
-
-    let log = Arc::new(Mutex::new(Log::default()));
-    let report =
-        Synthesis::from_benchmark("hazard").observer(Obs(log.clone())).run().expect("flow");
-    let log = log.lock().unwrap();
-    assert_eq!(log.steps, report.inserted.unwrap());
-    assert_eq!(log.verdict, Some(Some(true)));
+    let (sink, events) = collector();
+    let report = Synthesis::from_benchmark("hazard").observer(sink).run().expect("flow");
+    let events = events.lock().unwrap();
+    let steps = events.iter().filter(|e| matches!(e, FlowEvent::Step { .. })).count();
+    assert_eq!(steps, report.inserted.unwrap());
+    let verdicts: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            FlowEvent::Verdict { verified } => Some(*verified),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(verdicts, [Some(true)]);
+    let (stages, ends) = stage_bounds(&events);
     let expected = [Stage::Load, Stage::Elaborate, Stage::Covers, Stage::Decompose, Stage::Map];
     for stage in expected {
-        assert!(log.stages.contains(&stage), "missing stage {stage}");
+        assert!(stages.contains(&stage), "missing stage {stage}");
     }
     // Every started stage ends, even on the verify path.
-    assert_eq!(log.stages, log.ends, "stage starts and ends must pair up");
-    assert!(log.ends.contains(&Stage::Verify));
+    assert_eq!(stages, ends, "stage starts and ends must pair up");
+    assert!(ends.contains(&Stage::Verify));
 }
 
 #[test]
 fn observer_stages_balance_on_refutation() {
-    use simap::FlowObserver;
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Default)]
-    struct Counts {
-        starts: usize,
-        ends: usize,
-    }
-    struct Obs(Arc<Mutex<Counts>>);
-    impl FlowObserver for Obs {
-        fn on_stage_start(&mut self, _stage: Stage, _spec: &str) {
-            self.0.lock().unwrap().starts += 1;
-        }
-        fn on_stage_end(&mut self, _stage: Stage) {
-            self.0.lock().unwrap().ends += 1;
-        }
-    }
-
-    let counts = Arc::new(Mutex::new(Counts::default()));
+    let (sink, events) = collector();
     let err = Synthesis::from_state_graph(non_persistent())
-        .observer(Obs(counts.clone()))
+        .observer(sink)
         .elaborate()
         .unwrap()
         .covers()
@@ -236,8 +220,8 @@ fn observer_stages_balance_on_refutation() {
         .verify()
         .unwrap_err();
     assert!(matches!(err, Error::Verify { .. }));
-    let counts = counts.lock().unwrap();
-    assert_eq!(counts.starts, counts.ends, "stages must balance even when verify errors");
+    let (starts, ends) = stage_bounds(&events.lock().unwrap());
+    assert_eq!(starts.len(), ends.len(), "stages must balance even when verify errors");
 }
 
 #[test]

@@ -294,9 +294,7 @@ fn streaming_mode_forwards_flow_events_as_ndjson() {
     let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let sink = events.clone();
     simap::Synthesis::from_benchmark("hazard")
-        .observer(simap::EventObserver::new(move |e: simap::FlowEvent| {
-            sink.lock().unwrap().push(e.to_json())
-        }))
+        .observer(move |e: simap::FlowEvent| sink.lock().unwrap().push(e.to_json()))
         .run()
         .expect("hazard maps");
     assert_eq!(lines[job_at + 1..lines.len() - 1], events.lock().unwrap()[..]);
