@@ -688,6 +688,9 @@ fn submit(
     // so an accepted job is guaranteed a worker (no submit-after-drain
     // race; see `Queue::submit`).
     let spec = JobSpec { id, work, client: ctx.client.clone(), fingerprint };
+    // Take the in-flight slot before a worker can see the job: a worker
+    // that finishes it first must release a slot that exists.
+    shared.gateway.job_started(&ctx.client);
     match shared.queue.submit(spec, &shared.shutdown) {
         Ok(()) => {
             // The queue accepted work while half-open: the service is
@@ -695,9 +698,9 @@ fn submit(
             if ctx.breaker_probe {
                 shared.gateway.probe_result(true);
             }
-            shared.gateway.job_started(&ctx.client);
         }
         Err(queue::SubmitError::ShuttingDown) => {
+            shared.gateway.job_finished(&ctx.client);
             shared.jobs.discard(id);
             if ctx.breaker_probe {
                 shared.gateway.probe_abandoned();
@@ -706,6 +709,7 @@ fn submit(
             return;
         }
         Err(queue::SubmitError::Full) => {
+            shared.gateway.job_finished(&ctx.client);
             shared.jobs.discard(id);
             shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             // Queue saturation is the breaker's primary distress signal;

@@ -1,9 +1,9 @@
 //! Integration tests of the `simap serve` gateway over real TCP
 //! sockets: API-key authentication (401/403), per-client rate limiting
 //! (429 with `Retry-After`), the circuit breaker's open → half-open →
-//! closed recovery (503 with `Retry-After`), and the persistent result
+//! closed recovery (503 with `Retry-After`), the persistent result
 //! cache answering byte-identically across a server restart without
-//! enqueueing any work.
+//! enqueueing any work, and the in-flight quota releasing every slot.
 
 use simap::core::json::{self, Json};
 use simap::serve::{ServeConfig, Server, ServerHandle};
@@ -245,5 +245,32 @@ fn restarted_server_answers_byte_identically_from_the_persistent_cache() {
     let cache = doc.get("gateway").unwrap().get("rescache").unwrap();
     assert_eq!(cache.get("hits").unwrap().as_usize(), Some(1), "{doc:?}");
     assert_eq!(cache.get("misses").unwrap().as_usize(), Some(1), "{doc:?}");
+    stop(handle, join);
+}
+
+#[test]
+fn inflight_quota_releases_every_slot() {
+    // Sequential requests never overlap, so none may meet the quota: a
+    // slot left held by a finished job would show as a 429 here, or as
+    // a nonzero in-flight count at the end. The round count is
+    // environment-tunable (`SIMAP_INFLIGHT_ROUNDS`, default 200) so CI
+    // can run 2*10^4 of them.
+    let rounds: usize =
+        std::env::var("SIMAP_INFLIGHT_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(200);
+    let (handle, join) = start(ServeConfig {
+        jobs: 2,
+        max_inflight: 1,
+        breaker_threshold: 0,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    for round in 0..rounds {
+        let (status, _, body) = http(addr, "POST", "/synthesize", None, "{\"bench\":\"nope\"}");
+        assert_eq!(status, 422, "round {round}: {body}");
+    }
+    let doc = metrics(addr);
+    let anonymous = doc.get("gateway").unwrap().get("clients").unwrap().get("anonymous").unwrap();
+    assert_eq!(anonymous.get("admitted").unwrap().as_usize(), Some(rounds), "{doc:?}");
+    assert_eq!(anonymous.get("inflight").unwrap().as_usize(), Some(0), "{doc:?}");
     stop(handle, join);
 }
