@@ -1,9 +1,12 @@
 //! Integration tests of the `simap serve` gateway over real TCP
 //! sockets: API-key authentication (401/403), per-client rate limiting
 //! (429 with `Retry-After`), the circuit breaker's open → half-open →
-//! closed recovery (503 with `Retry-After`), the persistent result
-//! cache answering byte-identically across a server restart without
+//! closed recovery (503 with `Retry-After`), half-open probes that never
+//! reach the queue freeing the probe slot, the persistent result cache
+//! answering byte-identically across a server restart without
 //! enqueueing any work, and the in-flight quota releasing every slot.
+//! The `gateway` object of `/metrics` and the admission trail at the
+//! head of a stream are pinned byte for byte.
 
 use simap::core::json::{self, Json};
 use simap::serve::{ServeConfig, Server, ServerHandle};
@@ -272,5 +275,131 @@ fn inflight_quota_releases_every_slot() {
     let anonymous = doc.get("gateway").unwrap().get("clients").unwrap().get("anonymous").unwrap();
     assert_eq!(anonymous.get("admitted").unwrap().as_usize(), Some(rounds), "{doc:?}");
     assert_eq!(anonymous.get("inflight").unwrap().as_usize(), Some(0), "{doc:?}");
+    stop(handle, join);
+}
+
+/// The raw `gateway` object of one `/metrics` document, byte for byte
+/// (the benchmark harness parses these keys, so their layout is pinned).
+fn gateway_section(addr: SocketAddr) -> String {
+    let (status, _, body) = http(addr, "GET", "/metrics", None, "");
+    assert_eq!(status, 200, "{body}");
+    let start = body.find(",\"gateway\":").expect("gateway key") + ",\"gateway\":".len();
+    let end = body.find(",\"stage_latency_us\":").expect("gateway is followed by the latencies");
+    body[start..end].to_string()
+}
+
+#[test]
+fn gateway_metrics_and_admission_trail_are_pinned() {
+    let scratch = Scratch::new("pin");
+    let keyfile = scratch.0.join("keys.tsv");
+    std::fs::write(&keyfile, "k-alice\talice\tfree\nk-ops\tops\tunlimited\n").unwrap();
+    let (handle, join) = start(ServeConfig {
+        jobs: 1,
+        api_keys: Some(keyfile),
+        rate_limit: 1.0,
+        cache_dir: Some(scratch.0.join("results")),
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let half = "{\"bench\":\"half\"}";
+
+    // One 401, one admitted miss, one 429 (the free tier's single token
+    // is spent), and one hit from an unlimited client.
+    assert_eq!(http(addr, "POST", "/synthesize", None, half).0, 401);
+    assert_eq!(http(addr, "POST", "/synthesize", Some("k-alice"), half).0, 200);
+    assert_eq!(http(addr, "POST", "/synthesize", Some("k-alice"), half).0, 429);
+    assert_eq!(http(addr, "POST", "/synthesize", Some("k-ops"), half).0, 200);
+    assert_eq!(
+        gateway_section(addr),
+        "{\"auth_mode\":\"keyed\",\"api_keys\":2,\
+         \"auth\":{\"allowed\":3,\"rejected\":1},\
+         \"ratelimit\":{\"allowed\":2,\"rejected\":1},\
+         \"breaker\":{\"allowed\":2,\"rejected\":0},\
+         \"breaker_state\":\"closed\",\"breaker_opened\":0,\"breaker_shed\":0,\
+         \"rescache\":{\"hits\":1,\"misses\":1,\"stores\":1,\"evictions\":0,\"entries\":1},\
+         \"clients\":{\"alice\":{\"admitted\":1,\"inflight\":0},\
+         \"ops\":{\"admitted\":1,\"inflight\":0}}}"
+    );
+
+    // A streamed request opens with its admission trail (streams skip
+    // the result-cache read, so no rescache line), then the job line.
+    let (status, _, body) =
+        http(addr, "POST", "/synthesize", Some("k-ops"), "{\"bench\":\"half\",\"stream\":true}");
+    assert_eq!(status, 200, "{body}");
+    let head: Vec<&str> = body.lines().take(4).collect();
+    assert_eq!(
+        head,
+        [
+            "{\"event\":\"gateway\",\"layer\":\"auth\",\"decision\":\"allow\",\"client\":\"ops\"}",
+            "{\"event\":\"gateway\",\"layer\":\"ratelimit\",\"decision\":\"allow\",\
+             \"client\":\"ops\"}",
+            "{\"event\":\"gateway\",\"layer\":\"breaker\",\"decision\":\"allow\",\
+             \"client\":\"ops\"}",
+            "{\"event\":\"job\",\"job\":\"j2\"}",
+        ]
+    );
+
+    stop(handle, join);
+}
+
+/// The breaker state `/healthz` reports.
+fn breaker_state(addr: SocketAddr) -> String {
+    let (_, _, health) = http(addr, "GET", "/healthz", None, "");
+    let doc = json::parse(health.trim_end()).expect("healthz is JSON");
+    doc.get("breaker").and_then(Json::as_str).expect("breaker state").to_string()
+}
+
+#[test]
+fn unenqueued_probes_free_the_half_open_slot() {
+    let scratch = Scratch::new("probe");
+    let cooldown = Duration::from_millis(800);
+    let (handle, join) = start(ServeConfig {
+        jobs: 1,
+        breaker_threshold: 2,
+        breaker_cooldown: cooldown,
+        cache_dir: Some(scratch.0.join("results")),
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let trip = || {
+        for _ in 0..2 {
+            let (status, _, body) = http(addr, "POST", "/synthesize", None, "{\"bench\":\"nope\"}");
+            assert_eq!(status, 422, "{body}");
+        }
+        assert_eq!(breaker_state(addr), "open");
+        std::thread::sleep(cooldown + Duration::from_millis(200));
+        assert_eq!(breaker_state(addr), "half-open");
+    };
+    // Seed the result cache, then trip the breaker.
+    assert_eq!(http(addr, "POST", "/synthesize", None, "{\"bench\":\"half\"}").0, 200);
+    trip();
+
+    // Each malformed body is admitted as the probe, answered 400 and
+    // frees the slot without a verdict, so the next one is admitted too
+    // (a held slot would answer 503).
+    for (path, body) in
+        [("/synthesize", "{\"bogus\":1}"), ("/stg", "{\"nope\":1}"), ("/batch", "[]")]
+    {
+        let (status, _, answer) = http(addr, "POST", path, None, body);
+        assert_eq!(status, 400, "{path}: {answer}");
+        assert_eq!(breaker_state(addr), "half-open", "{path}");
+    }
+    // The next enqueued request is the probe, and it closes the breaker.
+    assert_eq!(http(addr, "POST", "/synthesize", None, "{\"bench\":\"hazard\"}").0, 200);
+    assert_eq!(breaker_state(addr), "closed");
+
+    // A result-cache hit enqueues nothing, so it frees the slot as well.
+    trip();
+    assert_eq!(http(addr, "POST", "/synthesize", None, "{\"bench\":\"half\"}").0, 200);
+    assert_eq!(breaker_state(addr), "half-open");
+    let doc = metrics(addr);
+    assert_eq!(
+        doc.get("gateway").unwrap().get("rescache").unwrap().get("hits").unwrap().as_usize(),
+        Some(1),
+        "{doc:?}"
+    );
+    assert_eq!(http(addr, "POST", "/synthesize", None, "{\"bench\":\"dff\"}").0, 200);
+    assert_eq!(breaker_state(addr), "closed");
+
     stop(handle, join);
 }
