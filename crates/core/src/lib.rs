@@ -120,7 +120,10 @@
 //! [`FlowEvent`] sinks, the observer variant of [`decompose()`] went with
 //! them, and the nested flow configuration's four fields moved onto
 //! [`Config`]: a deprecated forwarding shim would have kept a second
-//! code path. Algorithm
+//! code path. The `Gateway` variant of [`FlowEvent`] went in 0.14 too,
+//! again without a deprecation cycle: no flow ever sent it, and
+//! `simap serve` now records its admission decisions in a type of its
+//! own that renders the same `{"event":"gateway",…}` lines. Algorithm
 //! primitives ([`mc::synthesize_mc`], [`csc::repair_csc`],
 //! [`insertion::compute_insertion`], [`flow::build_circuit`], …) are the
 //! stable substrate the pipeline itself is built on.

@@ -64,18 +64,6 @@ pub enum FlowEvent {
         /// or inconclusive.
         verified: Option<bool>,
     },
-    /// A gateway middleware decision on the request that carries this
-    /// flow (emitted by `simap serve` ahead of the stage events, so a
-    /// streaming client sees how its request traversed the gateway).
-    Gateway {
-        /// The deciding layer (`auth`, `ratelimit`, `breaker`,
-        /// `rescache`).
-        layer: String,
-        /// The decision (`allow`, `reject`, `hit`, `miss`, …).
-        decision: String,
-        /// The client the decision applies to.
-        client: String,
-    },
 }
 
 impl FlowEvent {
@@ -116,12 +104,6 @@ impl FlowEvent {
             FlowEvent::Verdict { verified } => {
                 format!("{{\"event\":\"verdict\",\"verified\":{}}}", json::opt(*verified))
             }
-            FlowEvent::Gateway { layer, decision, client } => format!(
-                "{{\"event\":\"gateway\",\"layer\":{},\"decision\":{},\"client\":{}}}",
-                json::quote(layer),
-                json::quote(decision),
-                json::quote(client)
-            ),
         }
     }
 }

@@ -12,7 +12,7 @@
 //! in the `blocked` tier is `403` — authentication and authorization as
 //! separate verdicts, both with structured JSON errors.
 
-use super::middleware::{Decision, Middleware, Rejection, RequestContext, Tier};
+use super::middleware::{Rejection, RequestContext, Tier};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::RwLock;
@@ -24,7 +24,7 @@ pub(crate) struct KeyEntry {
     pub tier: Tier,
 }
 
-/// The authn/authz layer of the gateway chain.
+/// The authn/authz layer of the gateway, checked first.
 pub(crate) struct AuthLayer {
     /// `None`: anonymous mode (no keyfile configured).
     path: Option<PathBuf>,
@@ -119,25 +119,23 @@ impl AuthLayer {
     pub(crate) fn key_count(&self) -> usize {
         self.keys.read().expect("keyfile lock").len()
     }
-}
 
-impl Middleware for AuthLayer {
-    fn name(&self) -> &'static str {
-        "auth"
-    }
-
-    fn check(&self, ctx: &mut RequestContext) -> Decision {
+    /// Resolves the presented key into the request's client and tier.
+    ///
+    /// # Errors
+    /// `401` for a missing or unknown key, `403` for a blocked client.
+    pub(crate) fn check(&self, ctx: &mut RequestContext) -> Result<(), Rejection> {
         if !self.requires_key() {
             // Anonymous mode: everyone is one standard-tier client, so
             // the rate limiter still has a bucket to meter.
             ctx.client = "anonymous".to_string();
             ctx.tier = Tier::Standard;
             ctx.record("auth", "allow");
-            return Decision::Continue;
+            return Ok(());
         }
         let Some(key) = ctx.api_key.as_deref() else {
             ctx.record("auth", "reject");
-            return Decision::Reject(Rejection {
+            return Err(Rejection {
                 status: 401,
                 message: "missing API key (send `Authorization: Bearer <key>` or `X-Api-Key`)"
                     .to_string(),
@@ -146,7 +144,7 @@ impl Middleware for AuthLayer {
         };
         let Some(entry) = self.resolve(key) else {
             ctx.record("auth", "reject");
-            return Decision::Reject(Rejection {
+            return Err(Rejection {
                 status: 401,
                 message: "unknown API key".to_string(),
                 retry_after: None,
@@ -156,14 +154,14 @@ impl Middleware for AuthLayer {
         ctx.tier = entry.tier;
         if entry.tier == Tier::Blocked {
             ctx.record("auth", "reject");
-            return Decision::Reject(Rejection {
+            return Err(Rejection {
                 status: 403,
                 message: format!("client `{}` is blocked", ctx.client),
                 retry_after: None,
             });
         }
         ctx.record("auth", "allow");
-        Decision::Continue
+        Ok(())
     }
 }
 
@@ -208,7 +206,7 @@ k-blk\tmallory\tblocked
     fn anonymous_mode_allows_without_a_key() {
         let auth = AuthLayer::open(None).unwrap();
         let mut ctx = RequestContext::new(None, true);
-        assert!(matches!(auth.check(&mut ctx), Decision::Continue));
+        assert!(auth.check(&mut ctx).is_ok());
         assert_eq!(ctx.client, "anonymous");
         assert_eq!(ctx.tier, Tier::Standard);
     }
@@ -223,31 +221,20 @@ k-blk\tmallory\tblocked
 
         // No key -> 401.
         let mut ctx = RequestContext::new(None, true);
-        match auth.check(&mut ctx) {
-            Decision::Reject(r) => assert_eq!(r.status, 401),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(auth.check(&mut ctx).unwrap_err().status, 401);
         // Unknown key -> 401.
         let mut ctx = RequestContext::new(Some("nope".to_string()), true);
-        match auth.check(&mut ctx) {
-            Decision::Reject(r) => {
-                assert_eq!((r.status, r.message.as_str()), (401, "unknown API key"))
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = auth.check(&mut ctx).unwrap_err();
+        assert_eq!((r.status, r.message.as_str()), (401, "unknown API key"));
         // Valid key -> resolved identity.
         let mut ctx = RequestContext::new(Some("k-free".to_string()), true);
-        assert!(matches!(auth.check(&mut ctx), Decision::Continue));
+        assert!(auth.check(&mut ctx).is_ok());
         assert_eq!((ctx.client.as_str(), ctx.tier), ("alice", Tier::Free));
         // Blocked tier -> 403 (authn ok, authz denied).
         let mut ctx = RequestContext::new(Some("k-blk".to_string()), true);
-        match auth.check(&mut ctx) {
-            Decision::Reject(r) => {
-                assert_eq!(r.status, 403);
-                assert!(r.message.contains("mallory"), "{}", r.message);
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = auth.check(&mut ctx).unwrap_err();
+        assert_eq!(r.status, 403);
+        assert!(r.message.contains("mallory"), "{}", r.message);
 
         // Reload picks up edits; a broken file keeps the old table.
         std::fs::write(&path, "k-new\tdave\tstandard\n").unwrap();

@@ -13,8 +13,9 @@
 //! limiter ([`super::ratelimit::Clock`]) so every transition is unit
 //! testable without sleeping.
 
-use super::middleware::{Decision, Middleware, Rejection, RequestContext};
-use super::ratelimit::{Clock, MonotonicClock};
+use super::middleware::{Rejection, RequestContext};
+use super::ratelimit::Clock;
+use super::Outcome;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -51,7 +52,7 @@ struct BreakerInner {
     probe_outstanding: bool,
 }
 
-/// The circuit-breaker layer of the gateway chain.
+/// The circuit-breaker layer of the gateway, checked last.
 pub(crate) struct Breaker {
     /// Failure signals within `window` that trip the breaker.
     threshold: usize,
@@ -70,7 +71,7 @@ pub(crate) struct Breaker {
 impl Breaker {
     /// A breaker on the production clock.
     pub(crate) fn new(threshold: usize, window: Duration, cooldown: Duration) -> Self {
-        Breaker::with_clock(threshold, window, cooldown, Box::new(MonotonicClock::new()))
+        Breaker::with_clock(threshold, window, cooldown, Box::new(std::time::Instant::now()))
     }
 
     /// A breaker on an explicit clock (tests).
@@ -140,44 +141,43 @@ impl Breaker {
         }
     }
 
-    /// The half-open probe's verdict, reported from the submit path:
-    /// `true` (the queue accepted the probe) closes the breaker, `false`
-    /// re-opens it for another cooldown.
-    pub(crate) fn probe_result(&self, success: bool) {
+    /// Settles the half-open probe by where it ended up: a probe the
+    /// queue accepted closes the breaker, one that met a full queue
+    /// re-opens it for another cooldown, and one that never reached the
+    /// queue (malformed body, result-cache hit, shutdown) frees the slot
+    /// without a verdict, so the next work request probes instead.
+    pub(crate) fn settle_probe(&self, outcome: Outcome) {
         let now = self.clock.now();
         let mut inner = self.inner.lock().expect("breaker lock");
         inner.probe_outstanding = false;
-        if success {
-            inner.state = BreakerState::Closed;
-            inner.failures.clear();
-        } else {
-            inner.state = BreakerState::Open;
-            inner.opened_at = now;
-            self.opened_total.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            Outcome::Enqueued => {
+                inner.state = BreakerState::Closed;
+                inner.failures.clear();
+            }
+            Outcome::QueueFull => {
+                inner.state = BreakerState::Open;
+                inner.opened_at = now;
+                self.opened_total.fetch_add(1, Ordering::Relaxed);
+            }
+            Outcome::NotEnqueued => {}
         }
-    }
-
-    /// The admitted probe never reached the queue (malformed body, or a
-    /// result-cache hit answered it): release the probe slot without a
-    /// verdict so the next work request probes instead.
-    pub(crate) fn probe_abandoned(&self) {
-        self.inner.lock().expect("breaker lock").probe_outstanding = false;
     }
 
     fn seconds_until_probe(&self, opened_at: Duration, now: Duration) -> u64 {
         let remaining = (opened_at + self.cooldown).saturating_sub(now);
         (remaining.as_secs_f64().ceil() as u64).max(1)
     }
-}
 
-impl Middleware for Breaker {
-    fn name(&self) -> &'static str {
-        "breaker"
-    }
-
-    fn check(&self, ctx: &mut RequestContext) -> Decision {
+    /// Admits one work request while closed, sheds it while open, and
+    /// admits exactly one half-open probe (flagged on the context) once
+    /// the cooldown has passed. Other requests pass unrecorded.
+    ///
+    /// # Errors
+    /// `503` + `Retry-After` while open, or while the probe slot is taken.
+    pub(crate) fn check(&self, ctx: &mut RequestContext) -> Result<(), Rejection> {
         if !ctx.queues_work || self.threshold == 0 {
-            return Decision::Continue;
+            return Ok(());
         }
         let now = self.clock.now();
         let mut inner = self.inner.lock().expect("breaker lock");
@@ -185,14 +185,14 @@ impl Middleware for Breaker {
             BreakerState::Closed => {
                 drop(inner);
                 ctx.record("breaker", "allow");
-                Decision::Continue
+                Ok(())
             }
             BreakerState::Open if now.saturating_sub(inner.opened_at) < self.cooldown => {
                 let retry = self.seconds_until_probe(inner.opened_at, now);
                 drop(inner);
                 self.shed_total.fetch_add(1, Ordering::Relaxed);
                 ctx.record("breaker", "reject");
-                Decision::Reject(Rejection {
+                Err(Rejection {
                     status: 503,
                     message: "service shedding load (circuit breaker open)".to_string(),
                     retry_after: Some(retry),
@@ -205,7 +205,7 @@ impl Middleware for Breaker {
                     drop(inner);
                     self.shed_total.fetch_add(1, Ordering::Relaxed);
                     ctx.record("breaker", "reject");
-                    Decision::Reject(Rejection {
+                    Err(Rejection {
                         status: 503,
                         message: "service probing recovery (circuit breaker half-open)".to_string(),
                         retry_after: Some(1),
@@ -215,7 +215,7 @@ impl Middleware for Breaker {
                     drop(inner);
                     ctx.breaker_probe = true;
                     ctx.record("breaker", "probe");
-                    Decision::Continue
+                    Ok(())
                 }
             }
         }
@@ -228,20 +228,13 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    struct TestClock(Arc<AtomicU64>);
-    impl Clock for TestClock {
-        fn now(&self) -> Duration {
-            Duration::from_millis(self.0.load(Ordering::SeqCst))
-        }
-    }
-
     fn breaker(threshold: usize) -> (Breaker, Arc<AtomicU64>) {
         let time = Arc::new(AtomicU64::new(0));
         let b = Breaker::with_clock(
             threshold,
             Duration::from_secs(10),
             Duration::from_secs(5),
-            Box::new(TestClock(time.clone())),
+            Box::new(time.clone()),
         );
         (b, time)
     }
@@ -272,22 +265,16 @@ mod tests {
         let (b, time) = breaker(1);
         b.record_failure();
         let mut ctx = work_ctx();
-        match b.check(&mut ctx) {
-            Decision::Reject(r) => {
-                assert_eq!(r.status, 503);
-                assert_eq!(r.retry_after, Some(5), "full cooldown remains");
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = b.check(&mut ctx).unwrap_err();
+        assert_eq!(r.status, 503);
+        assert_eq!(r.retry_after, Some(5), "full cooldown remains");
         time.store(3_500, Ordering::SeqCst);
-        match b.check(&mut work_ctx()) {
-            Decision::Reject(r) => assert_eq!(r.retry_after, Some(2), "1.5s left, rounded up"),
-            other => panic!("{other:?}"),
-        }
+        let r = b.check(&mut work_ctx()).unwrap_err();
+        assert_eq!(r.retry_after, Some(2), "1.5s left, rounded up");
         assert_eq!(b.counters().1, 2, "two requests shed");
         // Non-work routes are never shed.
         let mut poll = RequestContext::new(None, false);
-        assert!(matches!(b.check(&mut poll), Decision::Continue));
+        assert!(b.check(&mut poll).is_ok());
     }
 
     #[test]
@@ -297,16 +284,14 @@ mod tests {
         time.store(5_000, Ordering::SeqCst); // cooldown elapsed
         assert_eq!(b.state(), BreakerState::HalfOpen);
         let mut probe = work_ctx();
-        assert!(matches!(b.check(&mut probe), Decision::Continue));
+        assert!(b.check(&mut probe).is_ok());
         assert!(probe.breaker_probe);
         // The probe slot is taken: a second request is still shed.
-        match b.check(&mut work_ctx()) {
-            Decision::Reject(r) => assert_eq!((r.status, r.retry_after), (503, Some(1))),
-            other => panic!("{other:?}"),
-        }
-        b.probe_result(true);
+        let r = b.check(&mut work_ctx()).unwrap_err();
+        assert_eq!((r.status, r.retry_after), (503, Some(1)));
+        b.settle_probe(Outcome::Enqueued);
         assert_eq!(b.state(), BreakerState::Closed);
-        assert!(matches!(b.check(&mut work_ctx()), Decision::Continue));
+        assert!(b.check(&mut work_ctx()).is_ok());
     }
 
     #[test]
@@ -315,15 +300,15 @@ mod tests {
         b.record_failure();
         time.store(5_000, Ordering::SeqCst);
         let mut probe = work_ctx();
-        assert!(matches!(b.check(&mut probe), Decision::Continue));
-        b.probe_result(false);
+        assert!(b.check(&mut probe).is_ok());
+        b.settle_probe(Outcome::QueueFull);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.counters().0, 2, "re-opening counts as a trip");
-        assert!(matches!(b.check(&mut work_ctx()), Decision::Reject(_)));
+        assert!(b.check(&mut work_ctx()).is_err());
         // And the next cooldown yields a fresh probe slot.
         time.store(10_000, Ordering::SeqCst);
         let mut probe = work_ctx();
-        assert!(matches!(b.check(&mut probe), Decision::Continue));
+        assert!(b.check(&mut probe).is_ok());
         assert!(probe.breaker_probe);
     }
 
@@ -333,12 +318,12 @@ mod tests {
         b.record_failure();
         time.store(5_000, Ordering::SeqCst);
         let mut probe = work_ctx();
-        assert!(matches!(b.check(&mut probe), Decision::Continue));
-        b.probe_abandoned();
+        assert!(b.check(&mut probe).is_ok());
+        b.settle_probe(Outcome::NotEnqueued);
         assert_eq!(b.state(), BreakerState::HalfOpen, "no verdict, no transition");
         // The slot is free again: the next request becomes the probe.
         let mut next = work_ctx();
-        assert!(matches!(b.check(&mut next), Decision::Continue));
+        assert!(b.check(&mut next).is_ok());
         assert!(next.breaker_probe);
     }
 
@@ -348,7 +333,7 @@ mod tests {
         for _ in 0..100 {
             b.record_failure();
         }
-        assert!(matches!(b.check(&mut work_ctx()), Decision::Continue));
+        assert!(b.check(&mut work_ctx()).is_ok());
         assert_eq!(b.state(), BreakerState::Closed);
     }
 }

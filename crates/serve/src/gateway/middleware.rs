@@ -1,14 +1,11 @@
-//! The middleware vocabulary: the [`Middleware`] trait every gateway
-//! layer implements, the per-request [`RequestContext`] the chain
-//! threads through, and the [`Decision`] each layer returns.
-//!
-//! The chain itself is an ordered `Vec<Box<dyn Middleware + Send +
-//! Sync>>` owned by [`crate::gateway::Gateway`]; layers run in order and
-//! the first rejection wins. Every decision is also recorded into the
-//! context as a [`FlowEvent::Gateway`] so streaming clients can see how
-//! their request traversed the gateway.
+//! What the gateway layers share: the service [`Tier`] a key grants,
+//! the per-request [`RequestContext`] that [`crate::gateway::Gateway::admit`]
+//! passes through the auth, rate-limit and breaker checks in that fixed
+//! order, the [`Rejection`] a check returns, and the [`GatewayEvent`]
+//! each decision records. Streaming clients see those events at the
+//! head of their NDJSON feed.
 
-use simap_core::FlowEvent;
+use simap_core::json;
 
 /// Service tiers an API key can be assigned in the keyfile. Tiers scale
 /// the base `--rate-limit` / `--max-inflight` budgets; `blocked` is the
@@ -63,7 +60,31 @@ impl Tier {
     }
 }
 
-/// Everything a middleware may inspect or annotate about one request.
+/// One gateway decision on a request, streamed to NDJSON clients ahead
+/// of the flow's own events.
+#[derive(Debug)]
+pub(crate) struct GatewayEvent {
+    /// The deciding layer (`auth`, `ratelimit`, `breaker`, `rescache`).
+    pub layer: &'static str,
+    /// The decision (`allow`, `reject`, `probe`, `hit`, `miss`).
+    pub decision: &'static str,
+    /// The client the decision applies to.
+    pub client: String,
+}
+
+impl GatewayEvent {
+    /// The one-line JSON wire form: `{"event":"gateway",...}`.
+    pub(crate) fn to_json(&self) -> String {
+        format!(
+            "{{\"event\":\"gateway\",\"layer\":{},\"decision\":{},\"client\":{}}}",
+            json::quote(self.layer),
+            json::quote(self.decision),
+            json::quote(&self.client)
+        )
+    }
+}
+
+/// Everything a gateway layer may inspect or annotate about one request.
 #[derive(Debug)]
 pub(crate) struct RequestContext {
     /// The presented API key (`Authorization: Bearer …` or `X-Api-Key`),
@@ -75,14 +96,14 @@ pub(crate) struct RequestContext {
     /// Resolved service tier (set by the auth layer).
     pub tier: Tier,
     /// Whether this request submits work to the job queue (`POST
-    /// /synthesize`, `POST /batch`) — the rate limiter and the circuit
-    /// breaker only guard those.
+    /// /synthesize`, `/stg`, `/batch`) — the rate limiter and the
+    /// circuit breaker only guard those.
     pub queues_work: bool,
     /// Whether the breaker admitted this request as its half-open probe;
-    /// the submit path reports the probe's outcome back.
+    /// [`crate::gateway::Gateway::settle`] reports the probe's outcome.
     pub breaker_probe: bool,
-    /// Gateway decisions, in chain order, as streamable events.
-    pub events: Vec<FlowEvent>,
+    /// Gateway decisions, in the order they were made.
+    pub events: Vec<GatewayEvent>,
 }
 
 impl RequestContext {
@@ -98,13 +119,9 @@ impl RequestContext {
         }
     }
 
-    /// Records one gateway decision as a [`FlowEvent::Gateway`].
-    pub(crate) fn record(&mut self, layer: &str, decision: impl Into<String>) {
-        self.events.push(FlowEvent::Gateway {
-            layer: layer.to_string(),
-            decision: decision.into(),
-            client: self.client.clone(),
-        });
+    /// Records one gateway decision for the current client.
+    pub(crate) fn record(&mut self, layer: &'static str, decision: &'static str) {
+        self.events.push(GatewayEvent { layer, decision, client: self.client.clone() });
     }
 }
 
@@ -115,39 +132,6 @@ pub(crate) struct Rejection {
     pub status: u16,
     pub message: String,
     pub retry_after: Option<u64>,
-}
-
-/// What one middleware layer decided about a request.
-#[derive(Debug)]
-pub(crate) enum Decision {
-    /// Pass the request to the next layer.
-    Continue,
-    /// Stop the chain and answer with this rejection.
-    Reject(Rejection),
-}
-
-/// One layer of the gateway chain. Layers are shared across connection
-/// threads, so `check` takes `&self`; all mutability is interior.
-pub(crate) trait Middleware: Send + Sync {
-    /// The layer's name, used in metrics and gateway events.
-    fn name(&self) -> &'static str;
-
-    /// Inspects (and annotates) the request; the first `Reject` in the
-    /// chain wins.
-    fn check(&self, ctx: &mut RequestContext) -> Decision;
-}
-
-/// Shared layers can sit in the chain as `Arc`s (the gateway keeps its
-/// own handle for post-admission bookkeeping: in-flight release, breaker
-/// outcome reporting).
-impl<T: Middleware> Middleware for std::sync::Arc<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn check(&self, ctx: &mut RequestContext) -> Decision {
-        (**self).check(ctx)
-    }
 }
 
 #[cfg(test)]

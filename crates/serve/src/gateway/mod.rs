@@ -1,22 +1,23 @@
 //! The multi-tenant gateway in front of the `simap serve` job queue.
 //!
-//! Every request that reaches a work route passes through an ordered
-//! middleware chain — authentication/authorization ([`auth`]), per-client
-//! rate limiting and in-flight quotas ([`ratelimit`]), and a circuit
-//! breaker over queue saturation and worker failures ([`breaker`]) — and
-//! the first rejection wins. Admitted synthesis requests then consult a
-//! persistent content-addressed result cache ([`rescache`]) before
-//! anything is enqueued: a hit answers byte-identically from disk, even
-//! across server restarts.
+//! [`Gateway::admit`] checks every request that reaches a protected
+//! route against three layers in a fixed order — authentication and
+//! authorization ([`auth`]), per-client rate limiting and in-flight
+//! quotas ([`ratelimit`]), and a circuit breaker over queue saturation
+//! and worker failures ([`breaker`]) — and the first rejection wins.
+//! Admitted work requests then consult a persistent content-addressed
+//! result cache ([`rescache`]) before anything is enqueued: a hit answers
+//! byte-identically from disk, even across server restarts.
 //!
-//! The [`Gateway`] owns the chain as a `Vec<Box<dyn Middleware + Send +
-//! Sync>>` plus `Arc` handles to the individual layers for the
-//! bookkeeping that happens *after* admission: releasing in-flight
-//! quota when a job finishes, feeding queue-full rejections and worker
-//! failures to the breaker, resolving a half-open probe's fate. Every
-//! layer exports counters through [`Gateway::metrics_json`], and every
-//! decision is recorded as a [`simap_core::FlowEvent::Gateway`] on the
-//! request context so streaming clients see it in their NDJSON.
+//! The [`Gateway`] owns the layers by value, and the server calls them
+//! directly for the bookkeeping after admission: the in-flight slot a
+//! job holds, worker failures fed to the breaker, cache reads and
+//! writes. [`Gateway::settle`] is told once where each admitted work
+//! request ended up, which decides a half-open probe or feeds a
+//! queue-full rejection to the breaker. [`Gateway::metrics_json`]
+//! exports every layer's counters, and every decision is recorded on the
+//! request context as a [`middleware::GatewayEvent`], so streaming
+//! clients see their admission trail in their NDJSON.
 
 pub(crate) mod auth;
 pub(crate) mod breaker;
@@ -24,62 +25,23 @@ pub(crate) mod middleware;
 pub(crate) mod ratelimit;
 pub(crate) mod rescache;
 
+use crate::ServeConfig;
 use auth::AuthLayer;
-use breaker::{Breaker, BreakerState};
-use middleware::{Decision, Middleware, Rejection, RequestContext};
+use breaker::Breaker;
+use middleware::{Rejection, RequestContext};
 use ratelimit::RateLimiter;
 use rescache::ResCache;
 use simap_core::json;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
-/// Everything configurable about the gateway, with defaults that keep a
-/// bare `simap serve` behaving exactly as before: no keyfile (anonymous
-/// mode), rate limiting and quotas off, no cache directory, and a
-/// breaker tuned to stay closed under anything short of sustained
-/// saturation.
-#[derive(Debug, Clone)]
-pub(crate) struct GatewayConfig {
-    /// TSV keyfile (`--api-keys`); `None` = anonymous mode.
-    pub api_keys: Option<PathBuf>,
-    /// Base requests/sec per client (`--rate-limit`); `0` = off.
-    pub rate_limit: f64,
-    /// Base in-flight jobs per client (`--max-inflight`); `0` = off.
-    pub max_inflight: usize,
-    /// Result-cache directory (`--cache-dir`); `None` = no persistence.
-    pub cache_dir: Option<PathBuf>,
-    /// Maximum result-cache entries on disk (`--cache-limit`); `0` =
-    /// unbounded.
-    pub cache_limit: usize,
-    /// Failures within the window that trip the breaker
-    /// (`--breaker-threshold`); `0` disables the breaker.
-    pub breaker_threshold: usize,
-    /// Sliding window over which failures count.
-    pub breaker_window: Duration,
-    /// How long the breaker stays open before a half-open probe
-    /// (`--breaker-cooldown`).
-    pub breaker_cooldown: Duration,
-}
+/// The sliding window over which breaker failures count (the ten
+/// seconds [`ServeConfig::breaker_threshold`] documents).
+const BREAKER_WINDOW: Duration = Duration::from_secs(10);
 
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            api_keys: None,
-            rate_limit: 0.0,
-            max_inflight: 0,
-            cache_dir: None,
-            cache_limit: 256,
-            breaker_threshold: 8,
-            breaker_window: Duration::from_secs(10),
-            breaker_cooldown: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Allowed/rejected tallies for one chain layer.
+/// Allowed/rejected counts of one layer.
 #[derive(Debug, Default)]
 struct LayerStats {
     allowed: AtomicU64,
@@ -87,86 +49,87 @@ struct LayerStats {
 }
 
 impl LayerStats {
-    fn json(&self) -> String {
-        format!(
-            "{{\"allowed\":{},\"rejected\":{}}}",
-            self.allowed.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed)
-        )
+    /// Counts one check's verdict and passes it on.
+    fn count(&self, verdict: Result<(), Rejection>) -> Result<(), Rejection> {
+        let counter = if verdict.is_ok() { &self.allowed } else { &self.rejected };
+        counter.fetch_add(1, Ordering::Relaxed);
+        verdict
     }
 }
 
-/// The assembled gateway. Shared (via `Arc`) by every connection thread
-/// and the worker pool.
+/// Where an admitted work request ended up, told once to
+/// [`Gateway::settle`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// The job entered the queue.
+    Enqueued,
+    /// The queue was full.
+    QueueFull,
+    /// Nothing was enqueued: a malformed body, a result-cache hit, or
+    /// shutdown.
+    NotEnqueued,
+}
+
+/// The assembled gateway, shared by every connection thread and the
+/// worker pool.
 pub(crate) struct Gateway {
-    /// The ordered chain; the first rejection wins.
-    chain: Vec<Box<dyn Middleware + Send + Sync>>,
-    auth: Arc<AuthLayer>,
-    limiter: Arc<RateLimiter>,
-    breaker: Arc<Breaker>,
-    rescache: Option<ResCache>,
-    /// Per-layer decision tallies, keyed by layer name, in chain order.
-    stats: Vec<(&'static str, LayerStats)>,
+    pub auth: AuthLayer,
+    pub limiter: RateLimiter,
+    pub breaker: Breaker,
+    /// `None` without `--cache-dir`.
+    pub rescache: Option<ResCache>,
+    auth_stats: LayerStats,
+    limiter_stats: LayerStats,
+    breaker_stats: LayerStats,
     /// Work requests admitted per client (keyfile clients + anonymous,
     /// so naturally bounded).
     admitted_by_client: Mutex<BTreeMap<String, u64>>,
 }
 
 impl Gateway {
-    /// Builds the gateway: loads the keyfile, opens the cache directory,
-    /// assembles the chain.
+    /// Builds the gateway: loads the keyfile and opens the cache
+    /// directory.
     ///
     /// # Errors
     /// An unreadable or malformed keyfile, or an unusable cache
     /// directory — both must fail at startup, loudly.
-    pub(crate) fn open(config: &GatewayConfig) -> Result<Gateway, String> {
-        let auth = Arc::new(AuthLayer::open(config.api_keys.as_deref())?);
-        let limiter = Arc::new(RateLimiter::new(config.rate_limit, config.max_inflight));
-        let breaker = Arc::new(Breaker::new(
-            config.breaker_threshold,
-            config.breaker_window,
-            config.breaker_cooldown,
-        ));
+    pub(crate) fn open(config: &ServeConfig) -> Result<Gateway, String> {
+        let auth = AuthLayer::open(config.api_keys.as_deref())?;
         let rescache = match &config.cache_dir {
             None => None,
             Some(dir) => Some(ResCache::open(dir, config.cache_limit)?),
         };
-        let chain: Vec<Box<dyn Middleware + Send + Sync>> =
-            vec![Box::new(auth.clone()), Box::new(limiter.clone()), Box::new(breaker.clone())];
-        let stats = chain.iter().map(|layer| (layer.name(), LayerStats::default())).collect();
         Ok(Gateway {
-            chain,
             auth,
-            limiter,
-            breaker,
+            limiter: RateLimiter::new(config.rate_limit, config.max_inflight),
+            breaker: Breaker::new(
+                config.breaker_threshold,
+                BREAKER_WINDOW,
+                config.breaker_cooldown,
+            ),
             rescache,
-            stats,
+            auth_stats: LayerStats::default(),
+            limiter_stats: LayerStats::default(),
+            breaker_stats: LayerStats::default(),
             admitted_by_client: Mutex::new(BTreeMap::new()),
         })
     }
 
-    /// Runs the chain over one request. `Ok` carries the annotated
-    /// context (identity, tier, probe flag, decision events); `Err`
-    /// carries the first rejection plus the context that produced it
-    /// (boxed: the rejection path should not tax the admit path's
-    /// return size).
+    /// Checks one request against auth, then the rate limiter, then the
+    /// breaker. `Ok` carries the annotated context (identity, tier, probe
+    /// flag, decision trail).
+    ///
+    /// # Errors
+    /// The first layer's rejection.
     pub(crate) fn admit(
         &self,
         api_key: Option<String>,
         queues_work: bool,
-    ) -> Result<RequestContext, Box<(Rejection, RequestContext)>> {
+    ) -> Result<RequestContext, Rejection> {
         let mut ctx = RequestContext::new(api_key, queues_work);
-        for (layer, (_, stats)) in self.chain.iter().zip(&self.stats) {
-            match layer.check(&mut ctx) {
-                Decision::Continue => {
-                    stats.allowed.fetch_add(1, Ordering::Relaxed);
-                }
-                Decision::Reject(rejection) => {
-                    stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(Box::new((rejection, ctx)));
-                }
-            }
-        }
+        self.auth_stats.count(self.auth.check(&mut ctx))?;
+        self.limiter_stats.count(self.limiter.check(&mut ctx))?;
+        self.breaker_stats.count(self.breaker.check(&mut ctx))?;
         if queues_work {
             *self
                 .admitted_by_client
@@ -178,61 +141,15 @@ impl Gateway {
         Ok(ctx)
     }
 
-    /// A job for `client` entered the queue (counts against its
-    /// in-flight quota).
-    pub(crate) fn job_started(&self, client: &str) {
-        self.limiter.job_started(client);
-    }
-
-    /// A job for `client` left the queue.
-    pub(crate) fn job_finished(&self, client: &str) {
-        self.limiter.job_finished(client);
-    }
-
-    /// Feeds one distress signal (queue-full rejection, worker job
-    /// failure) to the breaker.
-    pub(crate) fn record_failure(&self) {
-        self.breaker.record_failure();
-    }
-
-    /// Reports a half-open probe's fate back to the breaker.
-    pub(crate) fn probe_result(&self, success: bool) {
-        self.breaker.probe_result(success);
-    }
-
-    /// Releases a probe that never reached the queue (no verdict).
-    pub(crate) fn probe_abandoned(&self) {
-        self.breaker.probe_abandoned();
-    }
-
-    /// The breaker's current state (healthz, /metrics).
-    pub(crate) fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
-
-    /// Reloads the API keyfile (the SIGHUP path); returns the new key
-    /// count.
-    ///
-    /// # Errors
-    /// See [`AuthLayer::reload`] — on error the previous keys stay.
-    pub(crate) fn reload_api_keys(&self) -> Result<usize, String> {
-        self.auth.reload()
-    }
-
-    /// Whether a persistent result cache is configured.
-    pub(crate) fn cache_enabled(&self) -> bool {
-        self.rescache.is_some()
-    }
-
-    /// Consults the result cache. `None` when disabled or miss.
-    pub(crate) fn cache_lookup(&self, digest: u64, canon: &str) -> Option<String> {
-        self.rescache.as_ref()?.lookup(digest, canon)
-    }
-
-    /// Persists a finished result (no-op when the cache is disabled).
-    pub(crate) fn cache_store(&self, digest: u64, canon: &str, body: &str) {
-        if let Some(cache) = &self.rescache {
-            cache.store(digest, canon, body);
+    /// Settles an admitted work request with the breaker once it is known
+    /// where the request ended up: a half-open probe gets its verdict
+    /// ([`Breaker::settle_probe`]); any other request that met a full
+    /// queue feeds the breaker its primary distress signal.
+    pub(crate) fn settle(&self, ctx: &RequestContext, outcome: Outcome) {
+        if ctx.breaker_probe {
+            self.breaker.settle_probe(outcome);
+        } else if outcome == Outcome::QueueFull {
+            self.breaker.record_failure();
         }
     }
 
@@ -244,8 +161,16 @@ impl Gateway {
         let mut out = String::from("{\"auth_mode\":");
         out.push_str(if self.auth.requires_key() { "\"keyed\"" } else { "\"anonymous\"" });
         out.push_str(&format!(",\"api_keys\":{}", self.auth.key_count()));
-        for (name, stats) in &self.stats {
-            out.push_str(&format!(",\"{name}\":{}", stats.json()));
+        for (name, stats) in [
+            ("auth", &self.auth_stats),
+            ("ratelimit", &self.limiter_stats),
+            ("breaker", &self.breaker_stats),
+        ] {
+            out.push_str(&format!(
+                ",\"{name}\":{{\"allowed\":{},\"rejected\":{}}}",
+                stats.allowed.load(Ordering::Relaxed),
+                stats.rejected.load(Ordering::Relaxed)
+            ));
         }
         let (opened, shed) = self.breaker.counters();
         out.push_str(&format!(
@@ -287,14 +212,15 @@ impl Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use breaker::BreakerState;
 
-    fn open(config: &GatewayConfig) -> Gateway {
+    fn open(config: &ServeConfig) -> Gateway {
         Gateway::open(config).unwrap()
     }
 
     #[test]
     fn default_gateway_admits_anonymous_work_freely() {
-        let gw = open(&GatewayConfig::default());
+        let gw = open(&ServeConfig::default());
         for _ in 0..50 {
             let ctx = gw.admit(None, true).unwrap();
             assert_eq!(ctx.client, "anonymous");
@@ -313,46 +239,53 @@ mod tests {
     }
 
     #[test]
-    fn chain_order_is_auth_then_ratelimit_then_breaker() {
+    fn layers_run_auth_then_ratelimit_then_breaker() {
         let dir = std::env::temp_dir().join(format!("simap-gw-order-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let keyfile = dir.join("keys.tsv");
         std::fs::write(&keyfile, "k-a\talice\tfree\n").unwrap();
-        let gw = open(&GatewayConfig {
+        let gw = open(&ServeConfig {
             api_keys: Some(keyfile),
             max_inflight: 1,
-            ..GatewayConfig::default()
+            ..ServeConfig::default()
         });
         // Unknown key: auth rejects before the limiter is consulted.
-        let (rejection, _) = *gw.admit(Some("nope".to_string()), true).unwrap_err();
+        let rejection = gw.admit(Some("nope".to_string()), true).unwrap_err();
         assert_eq!(rejection.status, 401);
-        // Known key fills the quota, then the limiter rejects.
+        // Known key fills the quota, then the limiter rejects before the
+        // breaker is consulted.
         let ctx = gw.admit(Some("k-a".to_string()), true).unwrap();
-        gw.job_started(&ctx.client);
-        let (rejection, ctx) = *gw.admit(Some("k-a".to_string()), true).unwrap_err();
+        let trail: Vec<String> = ctx.events.iter().map(|e| e.to_json()).collect();
+        assert!(trail[0].contains("\"layer\":\"auth\",\"decision\":\"allow\""), "{trail:?}");
+        assert!(trail[1].contains("\"layer\":\"ratelimit\""), "{trail:?}");
+        assert!(trail[2].contains("\"layer\":\"breaker\""), "{trail:?}");
+        gw.limiter.job_started(&ctx.client);
+        let rejection = gw.admit(Some("k-a".to_string()), true).unwrap_err();
         assert_eq!(rejection.status, 429);
         assert_eq!(rejection.retry_after, Some(1));
-        // The rejected context still carries the decision trail.
-        let events: Vec<String> = ctx.events.iter().map(|e| e.to_json()).collect();
-        assert!(events[0].contains("\"layer\":\"auth\",\"decision\":\"allow\""), "{events:?}");
+        let metrics = gw.metrics_json();
         assert!(
-            events[1].contains("\"layer\":\"ratelimit\",\"decision\":\"reject\""),
-            "{events:?}"
+            metrics.contains(
+                "\"auth\":{\"allowed\":2,\"rejected\":1},\
+                 \"ratelimit\":{\"allowed\":1,\"rejected\":1},\
+                 \"breaker\":{\"allowed\":1,\"rejected\":0}"
+            ),
+            "{metrics}"
         );
-        gw.job_finished("alice");
+        gw.limiter.job_finished("alice");
         assert!(gw.admit(Some("k-a".to_string()), true).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn breaker_layer_sheds_after_sustained_failures() {
-        let gw = open(&GatewayConfig { breaker_threshold: 2, ..GatewayConfig::default() });
-        gw.record_failure();
-        gw.record_failure();
-        let (rejection, _) = *gw.admit(None, true).unwrap_err();
+        let gw = open(&ServeConfig { breaker_threshold: 2, ..ServeConfig::default() });
+        gw.breaker.record_failure();
+        gw.breaker.record_failure();
+        let rejection = gw.admit(None, true).unwrap_err();
         assert_eq!(rejection.status, 503);
         assert!(rejection.retry_after.is_some());
-        assert_eq!(gw.breaker_state(), BreakerState::Open);
+        assert_eq!(gw.breaker.state(), BreakerState::Open);
         // Non-work requests still pass while open.
         assert!(gw.admit(None, false).is_ok());
         let metrics = gw.metrics_json();
@@ -361,14 +294,36 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trips_through_the_gateway_facade() {
+    fn settle_counts_full_queues_and_decides_probes() {
+        let gw = open(&ServeConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::ZERO,
+            ..ServeConfig::default()
+        });
+        // Outside a probe, only a full queue is a failure signal.
+        let ctx = gw.admit(None, true).unwrap();
+        gw.settle(&ctx, Outcome::Enqueued);
+        gw.settle(&ctx, Outcome::NotEnqueued);
+        assert_eq!(gw.breaker.state(), BreakerState::Closed);
+        gw.settle(&ctx, Outcome::QueueFull);
+        assert_eq!(gw.breaker.counters().0, 1);
+        // With no cooldown the next request is the half-open probe, and
+        // where it ended up is its verdict.
+        let probe = gw.admit(None, true).unwrap();
+        assert!(probe.breaker_probe);
+        gw.settle(&probe, Outcome::Enqueued);
+        assert_eq!(gw.breaker.state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn cache_counters_reach_the_gateway_metrics() {
         let dir = std::env::temp_dir().join(format!("simap-gw-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let gw = open(&GatewayConfig { cache_dir: Some(dir.clone()), ..GatewayConfig::default() });
-        assert!(gw.cache_enabled());
-        assert_eq!(gw.cache_lookup(5, "canon"), None);
-        gw.cache_store(5, "canon", "body");
-        assert_eq!(gw.cache_lookup(5, "canon").as_deref(), Some("body"));
+        let gw = open(&ServeConfig { cache_dir: Some(dir.clone()), ..ServeConfig::default() });
+        let cache = gw.rescache.as_ref().expect("a cache directory enables the cache");
+        assert_eq!(cache.lookup(5, "canon"), None);
+        cache.store(5, "canon", "body");
+        assert_eq!(cache.lookup(5, "canon").as_deref(), Some("body"));
         let metrics = gw.metrics_json();
         assert!(metrics.contains("\"rescache\":{\"hits\":1,\"misses\":1,"), "{metrics}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -9,9 +9,9 @@
 //! is the point of the gateway.
 //!
 //! Time comes through the [`Clock`] trait so the bucket timing is unit
-//! testable without sleeping; production uses [`MonotonicClock`].
+//! testable without sleeping; production uses `Instant`.
 
-use super::middleware::{Decision, Middleware, Rejection, RequestContext};
+use super::middleware::{Rejection, RequestContext};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -22,31 +22,18 @@ pub(crate) trait Clock: Send + Sync {
     fn now(&self) -> Duration;
 }
 
-/// The production clock: `Instant` since limiter construction.
-pub(crate) struct MonotonicClock {
-    start: Instant,
-}
-
-impl MonotonicClock {
-    pub(crate) fn new() -> Self {
-        MonotonicClock { start: Instant::now() }
+/// The production clock: time since the limiter or breaker was built.
+impl Clock for Instant {
+    fn now(&self) -> Duration {
+        self.elapsed()
     }
 }
 
-impl Clock for MonotonicClock {
-    fn now(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-/// A manually-driven clock for deterministic bucket tests.
+/// A manually driven clock for deterministic tests, in milliseconds.
 #[cfg(test)]
-pub(crate) struct ManualClock(pub std::sync::atomic::AtomicU64);
-
-#[cfg(test)]
-impl Clock for ManualClock {
+impl Clock for std::sync::Arc<std::sync::atomic::AtomicU64> {
     fn now(&self) -> Duration {
-        Duration::from_nanos(self.0.load(std::sync::atomic::Ordering::SeqCst))
+        Duration::from_millis(self.load(std::sync::atomic::Ordering::SeqCst))
     }
 }
 
@@ -56,7 +43,7 @@ struct ClientState {
     inflight: usize,
 }
 
-/// The rate-limiting layer of the gateway chain.
+/// The rate-limiting layer of the gateway, checked after auth.
 pub(crate) struct RateLimiter {
     /// Base requests/sec of the `free` tier; `0.0` disables rate
     /// limiting entirely.
@@ -71,7 +58,7 @@ pub(crate) struct RateLimiter {
 impl RateLimiter {
     /// A limiter with the given base budgets on the production clock.
     pub(crate) fn new(rate: f64, max_inflight: usize) -> Self {
-        RateLimiter::with_clock(rate, max_inflight, Box::new(MonotonicClock::new()))
+        RateLimiter::with_clock(rate, max_inflight, Box::new(Instant::now()))
     }
 
     /// A limiter on an explicit clock (tests).
@@ -105,20 +92,19 @@ impl RateLimiter {
     pub(crate) fn inflight(&self, client: &str) -> usize {
         self.clients.lock().expect("limiter lock").get(client).map_or(0, |s| s.inflight)
     }
-}
 
-impl Middleware for RateLimiter {
-    fn name(&self) -> &'static str {
-        "ratelimit"
-    }
-
-    fn check(&self, ctx: &mut RequestContext) -> Decision {
+    /// Meters one work request against its client's in-flight quota and
+    /// token bucket; other requests pass unrecorded.
+    ///
+    /// # Errors
+    /// `429` + `Retry-After` for a full quota or an empty bucket.
+    pub(crate) fn check(&self, ctx: &mut RequestContext) -> Result<(), Rejection> {
         if !ctx.queues_work {
-            return Decision::Continue;
+            return Ok(());
         }
         let Some(multiplier) = ctx.tier.multiplier() else {
             ctx.record("ratelimit", "allow");
-            return Decision::Continue; // unlimited tier
+            return Ok(()); // unlimited tier
         };
         let rate = self.rate * multiplier;
         let burst = rate.max(1.0);
@@ -137,7 +123,7 @@ impl Middleware for RateLimiter {
             let inflight = state.inflight;
             drop(clients);
             ctx.record("ratelimit", "reject");
-            return Decision::Reject(Rejection {
+            return Err(Rejection {
                 status: 429,
                 message: format!(
                     "client `{}` has {inflight} jobs in flight (limit {inflight_limit})",
@@ -155,7 +141,7 @@ impl Middleware for RateLimiter {
                 let wait = (1.0 - state.tokens) / rate;
                 drop(clients);
                 ctx.record("ratelimit", "reject");
-                return Decision::Reject(Rejection {
+                return Err(Rejection {
                     status: 429,
                     message: format!(
                         "client `{}` (tier {}) exceeded {rate:.1} requests/sec",
@@ -169,7 +155,7 @@ impl Middleware for RateLimiter {
         }
         drop(clients);
         ctx.record("ratelimit", "allow");
-        Decision::Continue
+        Ok(())
     }
 }
 
@@ -177,7 +163,7 @@ impl Middleware for RateLimiter {
 mod tests {
     use super::*;
     use crate::gateway::middleware::Tier;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn ctx(client: &str, tier: Tier) -> RequestContext {
@@ -187,62 +173,51 @@ mod tests {
         ctx
     }
 
-    fn advance(clock: &Arc<ManualClock>, by: Duration) {
-        clock.0.fetch_add(by.as_nanos() as u64, Ordering::SeqCst);
-    }
-
-    struct SharedClock(Arc<ManualClock>);
-    impl Clock for SharedClock {
-        fn now(&self) -> Duration {
-            self.0.now()
-        }
+    fn advance(clock: &Arc<AtomicU64>, millis: u64) {
+        clock.fetch_add(millis, Ordering::SeqCst);
     }
 
     #[test]
     fn token_bucket_meters_and_refills_on_the_mock_clock() {
-        let clock = Arc::new(ManualClock(0.into()));
+        let clock = Arc::new(AtomicU64::new(0));
         // 2 req/s free tier: burst of 2, one token back every 500ms.
-        let limiter = RateLimiter::with_clock(2.0, 0, Box::new(SharedClock(clock.clone())));
+        let limiter = RateLimiter::with_clock(2.0, 0, Box::new(clock.clone()));
         let mut c = ctx("alice", Tier::Free);
-        assert!(matches!(limiter.check(&mut c), Decision::Continue));
-        assert!(matches!(limiter.check(&mut c), Decision::Continue));
-        match limiter.check(&mut c) {
-            Decision::Reject(r) => {
-                assert_eq!(r.status, 429);
-                assert_eq!(r.retry_after, Some(1), "full token is 500ms away, rounded up");
-            }
-            other => panic!("{other:?}"),
-        }
+        assert!(limiter.check(&mut c).is_ok());
+        assert!(limiter.check(&mut c).is_ok());
+        let r = limiter.check(&mut c).unwrap_err();
+        assert_eq!(r.status, 429);
+        assert_eq!(r.retry_after, Some(1), "full token is 500ms away, rounded up");
         // 499ms later: still short of one token.
-        advance(&clock, Duration::from_millis(499));
-        assert!(matches!(limiter.check(&mut c), Decision::Reject(_)));
+        advance(&clock, 499);
+        assert!(limiter.check(&mut c).is_err());
         // 2ms more: refilled past 1.0.
-        advance(&clock, Duration::from_millis(2));
-        assert!(matches!(limiter.check(&mut c), Decision::Continue));
+        advance(&clock, 2);
+        assert!(limiter.check(&mut c).is_ok());
         // A long idle period refills to the burst cap, not beyond.
-        advance(&clock, Duration::from_secs(3600));
-        assert!(matches!(limiter.check(&mut c), Decision::Continue));
-        assert!(matches!(limiter.check(&mut c), Decision::Continue));
-        assert!(matches!(limiter.check(&mut c), Decision::Reject(_)), "burst stays 2");
+        advance(&clock, 3_600_000);
+        assert!(limiter.check(&mut c).is_ok());
+        assert!(limiter.check(&mut c).is_ok());
+        assert!(limiter.check(&mut c).is_err(), "burst stays 2");
     }
 
     #[test]
     fn tiers_scale_rate_and_clients_are_independent() {
-        let clock = Arc::new(ManualClock(0.into()));
-        let limiter = RateLimiter::with_clock(1.0, 0, Box::new(SharedClock(clock.clone())));
+        let clock = Arc::new(AtomicU64::new(0));
+        let limiter = RateLimiter::with_clock(1.0, 0, Box::new(clock.clone()));
         // Standard tier: 4x the base -> burst 4.
         let mut bob = ctx("bob", Tier::Standard);
         for _ in 0..4 {
-            assert!(matches!(limiter.check(&mut bob), Decision::Continue));
+            assert!(limiter.check(&mut bob).is_ok());
         }
-        assert!(matches!(limiter.check(&mut bob), Decision::Reject(_)));
+        assert!(limiter.check(&mut bob).is_err());
         // Bob being dry does not affect Alice.
         let mut alice = ctx("alice", Tier::Free);
-        assert!(matches!(limiter.check(&mut alice), Decision::Continue));
+        assert!(limiter.check(&mut alice).is_ok());
         // Unlimited tier never meters.
         let mut carol = ctx("carol", Tier::Unlimited);
         for _ in 0..100 {
-            assert!(matches!(limiter.check(&mut carol), Decision::Continue));
+            assert!(limiter.check(&mut carol).is_ok());
         }
     }
 
@@ -250,18 +225,14 @@ mod tests {
     fn inflight_quota_gates_until_jobs_finish() {
         let limiter = RateLimiter::new(0.0, 2); // no rate limit, quota of 2
         let mut c = ctx("alice", Tier::Free);
-        assert!(matches!(limiter.check(&mut c), Decision::Continue));
+        assert!(limiter.check(&mut c).is_ok());
         limiter.job_started("alice");
         limiter.job_started("alice");
-        match limiter.check(&mut c) {
-            Decision::Reject(r) => {
-                assert_eq!((r.status, r.retry_after), (429, Some(1)));
-                assert!(r.message.contains("2 jobs in flight"), "{}", r.message);
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = limiter.check(&mut c).unwrap_err();
+        assert_eq!((r.status, r.retry_after), (429, Some(1)));
+        assert!(r.message.contains("2 jobs in flight"), "{}", r.message);
         limiter.job_finished("alice");
-        assert!(matches!(limiter.check(&mut c), Decision::Continue));
+        assert!(limiter.check(&mut c).is_ok());
         assert_eq!(limiter.inflight("alice"), 1);
     }
 
@@ -270,13 +241,13 @@ mod tests {
         let limiter = RateLimiter::new(0.0, 0);
         let mut c = ctx("alice", Tier::Free);
         for _ in 0..1000 {
-            assert!(matches!(limiter.check(&mut c), Decision::Continue));
+            assert!(limiter.check(&mut c).is_ok());
         }
         // Non-work routes skip the limiter entirely.
         let strict = RateLimiter::new(0.001, 1);
         let mut poll = RequestContext::new(None, false);
         for _ in 0..10 {
-            assert!(matches!(strict.check(&mut poll), Decision::Continue));
+            assert!(strict.check(&mut poll).is_ok());
         }
     }
 }

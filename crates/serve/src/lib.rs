@@ -26,7 +26,7 @@
 //! | Route | Behavior |
 //! |---|---|
 //! | `POST /synthesize` | Runs one mapping flow. Body fields: exactly one of `bench` (embedded benchmark name) or `g_source` (ad-hoc `.g` text); optional `literal_limit`, `or_limit`, `csc_repair`, `verify`, `strategy` (`packed`\|`explicit`\|`spill`), `memory_budget`, `shards`; optional `async` or `stream` booleans. The `200` body is **byte-identical** to `simap map --json` for the same spec/config. With `"async":true` answers `202 {"job":"jN","status":"queued"}` immediately. With `"stream":true` answers `application/x-ndjson`: one [`simap_core::FlowEvent`] JSON line per progress event as stages complete, ending with `{"event":"report","report":{...}}` (or `{"event":"error",...}`). |
-//! | `POST /stg` | Brings your own specification: the body is either **raw `.g` text** (post the file unchanged — a spec never opens with `{`, so the first non-whitespace byte disambiguates) or a JSON envelope `{"source":"<.g text>", ...}` accepting the same configuration knobs and `async`/`stream` flags as `/synthesize`. Both shapes run one mapping flow whose `200` body is **byte-identical** to `simap map <file.g> --json`, share one result-cache fingerprint (keyed by the source digest — a repeated spec answers from the cache without enqueueing), and are metered by the full gateway chain. The parser enforces the resource caps documented in `simap_stg::parse` (line length, signal/transition/place/arc counts); a spec that fails to parse is a `422` whose message carries the 1-based line and column. |
+//! | `POST /stg` | Brings your own specification: the body is either **raw `.g` text** (post the file unchanged — a spec never opens with `{`, so the first non-whitespace byte disambiguates) or a JSON envelope `{"source":"<.g text>", ...}` accepting the same configuration knobs and `async`/`stream` flags as `/synthesize`. Both shapes run one mapping flow whose `200` body is **byte-identical** to `simap map <file.g> --json`, share one result-cache fingerprint (keyed by the source digest — a repeated spec answers from the cache without enqueueing), and pass the same gateway layers. The parser enforces the resource caps documented in `simap_stg::parse` (line length, signal/transition/place/arc counts); a spec that fails to parse is a `422` whose message carries the 1-based line and column. |
 //! | `POST /batch` | Runs many benchmarks through one configuration. Body fields: `names` (array, empty/absent = the whole embedded suite), `limits` (array of literal limits, default `[2]`), the shared configuration fields, `async`. The `200` body is byte-identical to `simap bench run --json`. |
 //! | `GET /jobs/{id}` | Polls an async job: `{"job":"jN","status":"queued"\|"running"\|"done"\|"failed"}` plus `result` (the full response document) when done or `error` when failed. `404` for unknown/evicted/expired ids. |
 //! | `GET /benchmarks` | The embedded registry with signal/state counts — byte-identical to `simap bench list --json`. |
@@ -44,9 +44,10 @@
 //!
 //! ## The gateway
 //!
-//! Between the socket and the queue sits a middleware chain
-//! (auth → rate limit → breaker; first rejection wins), plus a
-//! persistent result cache consulted before anything is enqueued:
+//! Between the socket and the queue sit three gateway layers, checked
+//! in a fixed order (auth → rate limit → breaker; the first rejection
+//! wins), plus a persistent result cache consulted before anything is
+//! enqueued:
 //!
 //! 1. **Authentication/authorization** ([`ServeConfig::api_keys`]): a
 //!    TSV keyfile of `key<TAB>client<TAB>tier` lines; tiers are
@@ -74,9 +75,11 @@
 //!    evicted and treated as misses; the directory is LRU-bounded by
 //!    [`ServeConfig::cache_limit`].
 //!
-//! Every gateway decision is a [`simap_core::FlowEvent::Gateway`]:
+//! Every gateway decision is recorded as a
+//! `{"event":"gateway","layer":…,"decision":…,"client":…}` line:
 //! streaming clients see their own admission trail at the head of the
-//! NDJSON feed, and `/metrics` aggregates the tallies.
+//! NDJSON feed, ahead of the flow's [`simap_core::FlowEvent`] lines, and
+//! `/metrics` aggregates the tallies.
 //!
 //! ## Quickstart, in three tiers
 //!
@@ -150,7 +153,7 @@ mod queue;
 
 use api::{Mode, Work, WorkSource};
 use gateway::middleware::RequestContext;
-use gateway::{Gateway, GatewayConfig};
+use gateway::{Gateway, Outcome};
 use http::{read_request, respond, respond_retry, start_ndjson, ReadError, Request};
 use metrics::{Endpoint, Metrics};
 use queue::{JobSpec, JobStatus, JobTable, Queue};
@@ -160,7 +163,7 @@ use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -290,7 +293,7 @@ impl ServerHandle {
     /// # Errors
     /// No keyfile configured, or the file is unreadable or malformed.
     pub fn reload_api_keys(&self) -> Result<usize, String> {
-        self.shared.gateway.reload_api_keys()
+        self.shared.gateway.auth.reload()
     }
 
     /// Requests a graceful shutdown: stop accepting, drain accepted
@@ -323,17 +326,8 @@ impl Server {
     /// Address parse/bind failures; a missing or malformed API keyfile;
     /// an unusable cache directory (all reported as `InvalidInput`).
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
-        let gateway = Gateway::open(&GatewayConfig {
-            api_keys: config.api_keys.clone(),
-            rate_limit: config.rate_limit,
-            max_inflight: config.max_inflight,
-            cache_dir: config.cache_dir.clone(),
-            cache_limit: config.cache_limit,
-            breaker_threshold: config.breaker_threshold,
-            breaker_cooldown: config.breaker_cooldown,
-            ..GatewayConfig::default()
-        })
-        .map_err(|message| std::io::Error::new(std::io::ErrorKind::InvalidInput, message))?;
+        let gateway = Gateway::open(&config)
+            .map_err(|message| std::io::Error::new(std::io::ErrorKind::InvalidInput, message))?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let workers = if config.jobs == 0 {
@@ -517,8 +511,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let ctx = if protected {
         match shared.gateway.admit(request.api_key.clone(), queues_work) {
             Ok(ctx) => Some(ctx),
-            Err(rejected) => {
-                let (rejection, _) = *rejected;
+            Err(rejection) => {
                 shared.metrics.count_status(rejection.status);
                 let _ = respond_retry(
                     &mut stream,
@@ -540,7 +533,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                  \"workers\":{},\"workers_alive\":{}}}\n",
                 shared.queue.depth(),
                 shared.queue_limit,
-                json::quote(shared.gateway.breaker_state().as_str()),
+                json::quote(shared.gateway.breaker.state().as_str()),
                 shared.workers,
                 shared.workers_alive.load(Ordering::Acquire),
             );
@@ -564,43 +557,22 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             Err(e) => send(shared, &mut stream, 500, &error_body(&e.to_string())),
         },
         ("GET", path) if path.starts_with("/jobs/") => job_status(shared, &mut stream, path),
-        ("POST", "/synthesize") => {
-            match api::parse_synthesize(&request.body, shared.engine.config()) {
-                Ok((work, mode)) => {
-                    submit(shared, &mut stream, work, mode, ctx.expect("work route is protected"));
-                }
-                Err(message) => {
-                    // The admitted request never reached the queue, so a
-                    // half-open probe learned nothing: free the slot.
-                    if ctx.is_some_and(|c| c.breaker_probe) {
-                        shared.gateway.probe_abandoned();
-                    }
-                    send(shared, &mut stream, 400, &error_body(&message));
-                }
-            }
+        ("POST", path @ ("/synthesize" | "/stg" | "/batch")) => {
+            let parse = match path {
+                "/synthesize" => api::parse_synthesize,
+                "/stg" => api::parse_stg,
+                _ => api::parse_batch,
+            };
+            let mut ctx = ctx.expect("work routes are protected");
+            let (outcome, reply) = match parse(&request.body, shared.engine.config()) {
+                Ok((work, mode)) => submit(shared, work, mode, &mut ctx),
+                Err(message) => (Outcome::NotEnqueued, Reply::Now(400, None, error_body(&message))),
+            };
+            // Settled before the answer is written, so a probe's verdict
+            // is in force by the time its client hears back.
+            shared.gateway.settle(&ctx, outcome);
+            answer(shared, &mut stream, reply, &ctx);
         }
-        ("POST", "/stg") => match api::parse_stg(&request.body, shared.engine.config()) {
-            Ok((work, mode)) => {
-                submit(shared, &mut stream, work, mode, ctx.expect("work route is protected"));
-            }
-            Err(message) => {
-                if ctx.is_some_and(|c| c.breaker_probe) {
-                    shared.gateway.probe_abandoned();
-                }
-                send(shared, &mut stream, 400, &error_body(&message));
-            }
-        },
-        ("POST", "/batch") => match api::parse_batch(&request.body, shared.engine.config()) {
-            Ok((work, mode)) => {
-                submit(shared, &mut stream, work, mode, ctx.expect("work route is protected"));
-            }
-            Err(message) => {
-                if ctx.is_some_and(|c| c.breaker_probe) {
-                    shared.gateway.probe_abandoned();
-                }
-                send(shared, &mut stream, 400, &error_body(&message));
-            }
-        },
         (_, "/healthz" | "/metrics" | "/benchmarks" | "/synthesize" | "/stg" | "/batch") => {
             send(shared, &mut stream, 405, &error_body("method not allowed"));
         }
@@ -634,49 +606,46 @@ fn job_status(shared: &Shared, stream: &mut TcpStream, path: &str) {
     send(shared, stream, 200, &body);
 }
 
-fn submit(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    work: Work,
-    mode: Mode,
-    mut ctx: RequestContext,
-) {
+/// The answer to an admitted work request, decided before the request
+/// is settled with the gateway and written after.
+enum Reply {
+    /// A complete JSON response: status, `Retry-After` seconds, body.
+    Now(u16, Option<u64>, String),
+    /// A job, answered by its delivery mode; `lines` carries a stream's
+    /// progress lines.
+    Job { id: u64, mode: Mode, lines: Option<Receiver<String>> },
+}
+
+/// Answers one parsed work request from the result cache, or enqueues
+/// it; returns where it ended up and what to answer.
+fn submit(shared: &Shared, work: Work, mode: Mode, ctx: &mut RequestContext) -> (Outcome, Reply) {
     // Consult the persistent result cache before anything is enqueued.
     // Streaming requests bypass the read path (their contract is a live
     // event feed, not just the final report), but their results are
     // still stored on completion like everyone else's.
-    let fingerprint = shared.gateway.cache_enabled().then(|| api::work_fingerprint(&work));
+    let cache = shared.gateway.rescache.as_ref();
+    let fingerprint = cache.map(|_| api::work_fingerprint(&work));
     if mode != Mode::Stream {
-        if let Some((digest, canon)) = &fingerprint {
-            if let Some(body) = shared.gateway.cache_lookup(*digest, canon) {
+        if let (Some(cache), Some((digest, canon))) = (cache, &fingerprint) {
+            if let Some(body) = cache.lookup(*digest, canon) {
                 ctx.record("rescache", "hit");
-                if ctx.breaker_probe {
-                    // Nothing was enqueued, so the probe learned nothing
-                    // about queue health: free the slot without a verdict.
-                    shared.gateway.probe_abandoned();
-                }
-                match mode {
-                    Mode::Sync => send(shared, stream, 200, &body),
+                let reply = match mode {
+                    Mode::Sync => Reply::Now(200, None, body),
+                    // Async hit: a pre-completed job, pollable like any
+                    // other — the 202 contract is unchanged.
                     _ => {
-                        // Async hit: a pre-completed job, pollable like
-                        // any other — the 202 contract is unchanged.
                         let id = shared.jobs.create(None);
                         shared.jobs.complete(id, Ok(body));
-                        send(
-                            shared,
-                            stream,
-                            202,
-                            &format!("{{\"job\":\"j{id}\",\"status\":\"queued\"}}\n"),
-                        );
+                        Reply::Job { id, mode, lines: None }
                     }
-                }
-                return;
+                };
+                return (Outcome::NotEnqueued, reply);
             }
             ctx.record("rescache", "miss");
         }
     }
 
-    let (stream_tx, stream_rx) = match mode {
+    let (stream_tx, lines) = match mode {
         Mode::Stream => {
             let (tx, rx) = std::sync::mpsc::channel();
             (Some(tx), Some(rx))
@@ -684,53 +653,48 @@ fn submit(
         _ => (None, None),
     };
     let id = shared.jobs.create(stream_tx);
-    // The shutdown flag is checked inside `submit`, under the queue lock,
-    // so an accepted job is guaranteed a worker (no submit-after-drain
-    // race; see `Queue::submit`).
     let spec = JobSpec { id, work, client: ctx.client.clone(), fingerprint };
     // Take the in-flight slot before a worker can see the job: a worker
     // that finishes it first must release a slot that exists.
-    shared.gateway.job_started(&ctx.client);
-    match shared.queue.submit(spec, &shared.shutdown) {
+    shared.gateway.limiter.job_started(&ctx.client);
+    // The shutdown flag is checked inside `submit`, under the queue lock,
+    // so an accepted job is guaranteed a worker (no submit-after-drain
+    // race; see `Queue::submit`).
+    let refused = match shared.queue.submit(spec, &shared.shutdown) {
         Ok(()) => {
-            // The queue accepted work while half-open: the service is
-            // admitting again — close the breaker.
-            if ctx.breaker_probe {
-                shared.gateway.probe_result(true);
-            }
+            shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+            return (Outcome::Enqueued, Reply::Job { id, mode, lines });
         }
-        Err(queue::SubmitError::ShuttingDown) => {
-            shared.gateway.job_finished(&ctx.client);
-            shared.jobs.discard(id);
-            if ctx.breaker_probe {
-                shared.gateway.probe_abandoned();
-            }
-            send(shared, stream, 503, &error_body("shutting down"));
-            return;
+        Err(refused) => refused,
+    };
+    shared.gateway.limiter.job_finished(&ctx.client);
+    shared.jobs.discard(id);
+    match refused {
+        queue::SubmitError::ShuttingDown => {
+            (Outcome::NotEnqueued, Reply::Now(503, None, error_body("shutting down")))
         }
-        Err(queue::SubmitError::Full) => {
-            shared.gateway.job_finished(&ctx.client);
-            shared.jobs.discard(id);
+        queue::SubmitError::Full => {
             shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            // Queue saturation is the breaker's primary distress signal;
-            // a half-open probe hitting a still-full queue re-opens it.
-            if ctx.breaker_probe {
-                shared.gateway.probe_result(false);
-            } else {
-                shared.gateway.record_failure();
-            }
             let body = format!(
                 "{{\"error\":\"queue full\",\"queue_depth\":{},\"queue_limit\":{}}}\n",
                 shared.queue.depth(),
                 shared.queue_limit
             );
-            shared.metrics.count_status(429);
-            let _ = respond_retry(stream, 429, Some(1), &body);
-            return;
+            (Outcome::QueueFull, Reply::Now(429, Some(1), body))
         }
     }
-    shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+}
 
+/// Writes the answer to a settled work request.
+fn answer(shared: &Shared, stream: &mut TcpStream, reply: Reply, ctx: &RequestContext) {
+    let (id, mode, lines) = match reply {
+        Reply::Now(status, retry_after, body) => {
+            shared.metrics.count_status(status);
+            let _ = respond_retry(stream, status, retry_after, &body);
+            return;
+        }
+        Reply::Job { id, mode, lines } => (id, mode, lines),
+    };
     match mode {
         Mode::Async => {
             send(shared, stream, 202, &format!("{{\"job\":\"j{id}\",\"status\":\"queued\"}}\n"));
@@ -764,10 +728,10 @@ fn submit(
             }
             let _ = writeln!(stream, "{{\"event\":\"job\",\"job\":\"j{id}\"}}");
             let _ = stream.flush();
-            let rx = stream_rx.expect("stream mode created a channel");
+            let lines = lines.expect("stream mode created a channel");
             // Lines arrive until the worker completes the job and the
             // table drops the sender.
-            for line in rx {
+            for line in lines {
                 if writeln!(stream, "{line}").and_then(|()| stream.flush()).is_err() {
                     // Client went away; the worker keeps running (its
                     // sends just fail) and the job record stays pollable.
@@ -801,8 +765,10 @@ fn worker_loop(shared: &Shared) {
                 // Persist the finished report so a restarted instance (or
                 // a sibling on the same --cache-dir) can answer this
                 // request byte-identically without re-synthesizing.
-                if let Some((digest, canon)) = &fingerprint {
-                    shared.gateway.cache_store(*digest, canon, body);
+                if let (Some(cache), Some((digest, canon))) =
+                    (&shared.gateway.rescache, &fingerprint)
+                {
+                    cache.store(*digest, canon, body);
                 }
                 if let Some(tx) = &stream {
                     let _ =
@@ -820,10 +786,10 @@ fn worker_loop(shared: &Shared) {
                 shared.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 // Worker failures are the breaker's second distress
                 // signal, alongside queue-full rejections.
-                shared.gateway.record_failure();
+                shared.gateway.breaker.record_failure();
             }
         }
-        shared.gateway.job_finished(&client);
+        shared.gateway.limiter.job_finished(&client);
         shared.jobs.complete(id, outcome);
     }
 }

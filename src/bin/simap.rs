@@ -7,8 +7,8 @@
 //!
 //! `simap serve` hosts the same flow as a long-running HTTP/1.1 service
 //! over one shared engine; see the `simap_serve` crate docs for the wire
-//! protocol and the gateway layers (auth, rate limiting, circuit
-//! breaker, result cache). It shuts down gracefully — draining accepted
+//! protocol and the gateway (auth, rate limiting and circuit breaker,
+//! checked in that order, then the result cache). It shuts down gracefully — draining accepted
 //! jobs — on SIGTERM or ctrl-c, and reloads the API keyfile in place on
 //! SIGHUP.
 //!
@@ -478,7 +478,7 @@ fn narrate(event: FlowEvent) {
                 None => "unchecked",
             }
         ),
-        FlowEvent::StageEnd { .. } | FlowEvent::Gateway { .. } => {}
+        FlowEvent::StageEnd { .. } => {}
     }
 }
 

@@ -70,12 +70,12 @@
 //! `simap serve` — the body is either the raw `.g` text or a JSON
 //! envelope `{"source": "...", ...}` with per-request knobs. The `/stg`
 //! response is byte-identical to `simap map my.g --json` for the same
-//! source, requests are metered by the full gateway chain (auth, rate
-//! limits, breaker), and repeated submissions of the same bytes are
-//! answered from the content-addressed result cache without enqueueing
-//! work. Malformed input is rejected (HTTP `422`) with a 1-based
-//! line/column ([`stg::ParseStgError`]), and resource caps bound what a
-//! hostile spec can allocate before the parser gives up:
+//! source, requests pass the same gateway layers (auth, rate limits,
+//! breaker), and repeated submissions of the same bytes are answered
+//! from the content-addressed result cache without enqueueing work.
+//! Malformed input is rejected (HTTP `422`) with a 1-based line/column
+//! ([`stg::ParseStgError`]), and resource caps bound what a hostile spec
+//! can allocate before the parser gives up:
 //! [`stg::MAX_LINE_BYTES`], [`stg::MAX_SIGNALS`],
 //! [`stg::MAX_TRANSITIONS`], [`stg::MAX_PLACES`], [`stg::MAX_ARCS`].
 //! For load testing there is a seeded, byte-reproducible spec generator:

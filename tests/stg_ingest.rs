@@ -160,7 +160,7 @@ fn stg_is_metered_by_the_gateway() {
     std::fs::write(&keyfile, "k-frida\tfrida\tfree\n").unwrap();
     // Free tier at base 1 req/s: burst of exactly one token, so the
     // second POST /stg must shed with 429 — proof the endpoint sits
-    // behind the same gateway chain as /synthesize.
+    // behind the same gateway layers as /synthesize.
     let (handle, join) = start(ServeConfig {
         jobs: 1,
         api_keys: Some(keyfile),
